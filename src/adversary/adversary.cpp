@@ -1,22 +1,46 @@
 #include "adversary/adversary.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace hoval {
 
-const Msg& IntendedRound::intended(ProcessId sender, ProcessId receiver) const {
-  HOVAL_EXPECTS_MSG(sender >= 0 && sender < n(), "sender out of universe");
-  HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
-  const auto& row = by_sender[static_cast<std::size_t>(sender)];
-  HOVAL_EXPECTS_MSG(static_cast<int>(row.size()) == n(),
-                    "intended matrix must be square");
-  return row[static_cast<std::size_t>(receiver)];
-}
-
 void IntendedRound::resize(int n) {
   HOVAL_EXPECTS_MSG(n >= 0, "universe size must be non-negative");
-  by_sender.resize(static_cast<std::size_t>(n));
-  for (auto& row : by_sender) row.resize(static_cast<std::size_t>(n));
+  broadcast_.assign(static_cast<std::size_t>(n), Msg{});
+  if (per_link_.universe_size() != n)
+    per_link_ = ProcessSet(n);
+  else
+    per_link_.clear();
+}
+
+void IntendedRound::send(ProcessId sender, ProcessId receiver, Msg m) {
+  HOVAL_EXPECTS_MSG(sender >= 0 && sender < n(), "sender out of universe");
+  HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
+  const auto size = broadcast_.size();
+  const auto q = static_cast<std::size_t>(sender);
+  if (!per_link_.contains(sender)) {
+    if (rows_.size() != size * size) rows_.resize(size * size);
+    std::fill_n(rows_.begin() + static_cast<std::ptrdiff_t>(q * size), size,
+                broadcast_[q]);
+    per_link_.insert(sender);
+  }
+  rows_[q * size + static_cast<std::size_t>(receiver)] = m;
+}
+
+DeliveredRound::DeliveredRound(const DeliveredRound& other)
+    : by_receiver(other.by_receiver),
+      faithful_(other.faithful_),
+      altered_(other.altered_) {}
+
+DeliveredRound& DeliveredRound::operator=(const DeliveredRound& other) {
+  if (this != &other) {
+    by_receiver = other.by_receiver;  // receivers flatten, so no base needed
+    faithful_ = other.faithful_;
+    altered_ = other.altered_;
+  }
+  return *this;
 }
 
 DeliveredRound DeliveredRound::faithful(const IntendedRound& intended) {
@@ -25,49 +49,30 @@ DeliveredRound DeliveredRound::faithful(const IntendedRound& intended) {
   return out;
 }
 
-namespace {
-
-/// True when every sender's row of the intended matrix is uniform, i.e.
-/// every process broadcasts one message to all receivers this round.
-bool all_senders_broadcast(const IntendedRound& intended) {
-  for (const auto& row : intended.by_sender) {
-    for (std::size_t p = 1; p < row.size(); ++p)
-      if (row[p] != row[0]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 void DeliveredRound::assign_faithful(const IntendedRound& intended) {
   const int n = intended.n();
-  for (const auto& row : intended.by_sender)
-    HOVAL_EXPECTS_MSG(static_cast<int>(row.size()) == n,
-                      "intended matrix must be square");
   faithful_ = &intended;
-  if (this->n() != n)
-    by_receiver.assign(static_cast<std::size_t>(n), ReceptionVector(n));
   if (static_cast<int>(altered_.size()) != n ||
       (n > 0 && altered_.front().universe_size() != n)) {
     altered_.assign(static_cast<std::size_t>(n), ProcessSet(n));
   } else {
     for (auto& set : altered_) set.clear();
   }
-  if (n > 0 && (intended.uniform_rows || all_senders_broadcast(intended))) {
-    // Every receiver gets the identical vector; build its slots *and*
-    // aggregates once and copy them n times instead of rebuilding the
-    // histograms per receiver — the dominant per-round cost before.
-    if (broadcast_base_.universe_size() != n) broadcast_base_.reset(n);
-    broadcast_base_.fill_faithful(intended.by_sender, 0);
-    for (ProcessId p = 0; p < n; ++p)
-      by_receiver[static_cast<std::size_t>(p)] = broadcast_base_;
-    return;
-  }
-  for (ProcessId p = 0; p < n; ++p) {
-    ReceptionVector& mu = by_receiver[static_cast<std::size_t>(p)];
-    if (mu.universe_size() != n) mu.reset(n);
-    mu.fill_faithful(intended.by_sender, p);
-  }
+  // The base holds every sender's message to receiver 0 — for a
+  // broadcasting sender, its message to everyone — with its aggregates,
+  // built once per round.
+  if (!base_) base_ = std::make_unique<ReceptionVector>(n);
+  base_->reset(n);
+  for (ProcessId q = 0; q < n; ++q) base_->set(q, intended.intended(q, 0));
+  if (this->n() != n) by_receiver.resize(static_cast<std::size_t>(n));
+  for (ReceptionVector& mu : by_receiver) mu.bind(*base_);
+  intended.per_link_senders().for_each([&](ProcessId q) {
+    const Msg& to_first = intended.intended(q, 0);
+    for (ProcessId p = 1; p < n; ++p) {
+      const Msg& m = intended.intended(q, p);
+      if (m != to_first) by_receiver[static_cast<std::size_t>(p)].set(q, m);
+    }
+  });
 }
 
 void DeliveredRound::put(ProcessId sender, ProcessId receiver, Msg m) {
@@ -78,12 +83,6 @@ void DeliveredRound::put(ProcessId sender, ProcessId receiver, Msg m) {
     altered.erase(sender);
   else
     altered.insert(sender);
-}
-
-void DeliveredRound::put_altered(ProcessId sender, ProcessId receiver, Msg m) {
-  HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
-  by_receiver[static_cast<std::size_t>(receiver)].set(sender, m);
-  altered_[static_cast<std::size_t>(receiver)].insert(sender);
 }
 
 void DeliveredRound::omit(ProcessId sender, ProcessId receiver) {
@@ -105,42 +104,16 @@ const ProcessSet& DeliveredRound::altered(ProcessId receiver) const {
   return altered_[static_cast<std::size_t>(receiver)];
 }
 
+ProcessSet DeliveredRound::safe(ProcessId receiver) const {
+  ProcessSet ho(n());
+  ProcessSet sho(n());
+  ground_truth_into(receiver, ho, sho);
+  return sho;
+}
+
 void DeliveredRound::restore(const IntendedRound& intended, ProcessId sender,
                              ProcessId receiver) {
   put(sender, receiver, intended.intended(sender, receiver));
-}
-
-int DeliveredRound::safe_count(const IntendedRound& intended,
-                               ProcessId receiver) const {
-  int safe = 0;
-  const auto& mu = by_receiver[static_cast<std::size_t>(receiver)];
-  for (ProcessId q = 0; q < n(); ++q) {
-    const auto& got = mu.get(q);
-    if (got && *got == intended.intended(q, receiver)) ++safe;
-  }
-  return safe;
-}
-
-std::vector<ProcessId> DeliveredRound::unsafe_senders(const IntendedRound& intended,
-                                                      ProcessId receiver) const {
-  std::vector<ProcessId> out;
-  const auto& mu = by_receiver[static_cast<std::size_t>(receiver)];
-  for (ProcessId q = 0; q < n(); ++q) {
-    const auto& got = mu.get(q);
-    if (!got || !(*got == intended.intended(q, receiver))) out.push_back(q);
-  }
-  return out;
-}
-
-std::vector<ProcessId> DeliveredRound::altered_senders(
-    const IntendedRound& intended, ProcessId receiver) const {
-  std::vector<ProcessId> out;
-  const auto& mu = by_receiver[static_cast<std::size_t>(receiver)];
-  for (ProcessId q = 0; q < n(); ++q) {
-    const auto& got = mu.get(q);
-    if (got && !(*got == intended.intended(q, receiver))) out.push_back(q);
-  }
-  return out;
 }
 
 Msg corrupt_message(const Msg& original, const CorruptionPolicy& policy, Rng& rng) {

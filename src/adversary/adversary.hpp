@@ -15,6 +15,12 @@
 ///   HO(p,r)  = links delivered (faithfully or not)
 ///   SHO(p,r) = links delivered with message == intended
 ///   AHO(p,r) = delivered but != intended.
+///
+/// Copy-on-write delivery: DeliveredRound::assign_faithful builds the
+/// round's faithful base vector once and binds every receiver to it, so a
+/// receiver stores only the links the adversary overrides.  Lifetime rule:
+/// a receiver in DeliveredRound::by_receiver is valid until that round
+/// object's next assign_faithful; copies flatten and stay valid after it.
 
 #include <memory>
 #include <string>
@@ -23,32 +29,69 @@
 #include "model/message.hpp"
 #include "model/reception.hpp"
 #include "model/types.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hoval {
 
-/// What every process ought to send at one round: matrix indexed
-/// [sender][receiver] with the outputs of the sending functions S_q^r.
-struct IntendedRound {
+/// What every process ought to send at one round: the outputs of the
+/// sending functions S_q^r, read through intended(q, p).
+///
+/// A broadcasting sender (one message to everyone — every core algorithm
+/// but LastVoting) is stored as that one message; only a sender that
+/// addresses receivers individually gets a row of n messages.  So an
+/// all-broadcast round is n messages, not an n×n matrix.
+class IntendedRound {
+ public:
   Round round = 0;
-  std::vector<std::vector<Msg>> by_sender;  ///< [sender][receiver]
-  /// Producer's promise that every sender's row is uniform (everyone
-  /// broadcast this round).  Lets assign_faithful take its shared-base
-  /// fast path without scanning the matrix; when false the matrix is
-  /// scanned, so leaving it unset is always correct, just slower.
-  bool uniform_rows = false;
 
-  int n() const noexcept { return static_cast<int>(by_sender.size()); }
+  int n() const noexcept { return static_cast<int>(broadcast_.size()); }
 
-  /// Resizes the matrix to n x n, reusing row storage where possible so a
-  /// workspace-held instance allocates only on the first run of a size.
+  /// Re-targets the round to `n` processes, every sender broadcasting a
+  /// default message; storage is reused when the size already matches, so
+  /// a workspace-held instance allocates only on the first run of a size.
   void resize(int n);
 
+  /// `sender` sends `m` to every receiver.
+  void broadcast(ProcessId sender, Msg m) {
+    HOVAL_EXPECTS_MSG(sender >= 0 && sender < n(), "sender out of universe");
+    broadcast_[static_cast<std::size_t>(sender)] = m;
+    per_link_.erase(sender);
+  }
+
+  /// `sender` sends `m` to `receiver` only.  The first call for a sender
+  /// that was broadcasting seeds its row with the broadcast message, so
+  /// the round always describes every link.
+  void send(ProcessId sender, ProcessId receiver, Msg m);
+
   /// The message `sender` ought to send to `receiver`.
-  const Msg& intended(ProcessId sender, ProcessId receiver) const;
+  const Msg& intended(ProcessId sender, ProcessId receiver) const {
+    HOVAL_EXPECTS_MSG(sender >= 0 && sender < n(), "sender out of universe");
+    HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
+    const auto q = static_cast<std::size_t>(sender);
+    if (!per_link_.contains(sender)) return broadcast_[q];
+    return rows_[q * broadcast_.size() + static_cast<std::size_t>(receiver)];
+  }
+
+  /// Senders that address receivers individually this round.
+  const ProcessSet& per_link_senders() const noexcept { return per_link_; }
+
+ private:
+  std::vector<Msg> broadcast_;  ///< [sender]: its message when broadcasting
+  std::vector<Msg> rows_;       ///< [sender * n + receiver], per-link senders
+  ProcessSet per_link_;         ///< senders whose row in rows_ is live
 };
 
 /// What is actually received at one round: a reception vector per receiver.
+///
+/// assign_faithful builds the round's faithful base vector once (each
+/// sender's message to receiver 0) and binds every receiver to it
+/// copy-on-write (see reception.hpp), overriding only the links of
+/// per-link senders whose message differs from the base.  Adversaries then
+/// pay only for the links they touch.  Lifetime rule: a receiver in
+/// by_receiver is valid until the next assign_faithful of this round
+/// object; copy it (copies flatten) to keep it longer.  Copying or moving
+/// a DeliveredRound keeps every receiver's contents.
 ///
 /// The round also tracks, per receiver, the set of *altered* links (put()
 /// compares against the intended round captured by assign_faithful), so
@@ -58,20 +101,24 @@ struct IntendedRound {
 struct DeliveredRound {
   std::vector<ReceptionVector> by_receiver;
 
+  DeliveredRound() = default;
+  DeliveredRound(const DeliveredRound& other);
+  DeliveredRound& operator=(const DeliveredRound& other);
+  DeliveredRound(DeliveredRound&&) noexcept = default;
+  DeliveredRound& operator=(DeliveredRound&&) noexcept = default;
+  ~DeliveredRound() = default;
+
   int n() const noexcept { return static_cast<int>(by_receiver.size()); }
 
   /// Faithful delivery of every intended message (the adversary's
   /// starting point; also the behaviour of the identity adversary).
   static DeliveredRound faithful(const IntendedRound& intended);
 
-  /// In-place faithful delivery: overwrites every link with the intended
-  /// message, reusing the reception-vector storage across rounds and runs.
+  /// In-place faithful delivery: every link carries the intended message,
+  /// reusing the reception-vector storage across rounds and runs.
   /// Captures a reference to `intended` for the alteration tracking of
-  /// put()/ground_truth_into(); it must stay alive and unchanged until the
-  /// next assign_faithful.  When every sender broadcasts (its row of the
-  /// matrix is uniform — true for all core algorithms), one shared base
-  /// vector is built and copied per receiver, so the reception aggregates
-  /// are computed once per round instead of once per receiver.
+  /// put(); it must stay alive and unchanged until the next
+  /// assign_faithful.
   void assign_faithful(const IntendedRound& intended);
 
   /// Replaces what `receiver` gets from `sender`.
@@ -79,8 +126,12 @@ struct DeliveredRound {
 
   /// put() for a message the caller guarantees differs from the intended
   /// one (e.g. the output of corrupt_message) — skips the comparison
-  /// against the intended matrix on the corruption hot path.
-  void put_altered(ProcessId sender, ProcessId receiver, Msg m);
+  /// against the intended round on the corruption hot path.
+  void put_altered(ProcessId sender, ProcessId receiver, Msg m) {
+    HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
+    by_receiver[static_cast<std::size_t>(receiver)].set(sender, m);
+    altered_[static_cast<std::size_t>(receiver)].insert(sender);
+  }
 
   /// Drops the message from `sender` to `receiver` (omission fault).
   void omit(ProcessId sender, ProcessId receiver);
@@ -98,22 +149,16 @@ struct DeliveredRound {
   /// as maintained by put()/omit() since the last assign_faithful.
   const ProcessSet& altered(ProcessId receiver) const;
 
-  /// |SHO(receiver)| under this delivery: links whose delivered message
-  /// equals the intended one.
-  int safe_count(const IntendedRound& intended, ProcessId receiver) const;
-
-  /// Senders *not* in SHO(receiver): altered or omitted links.
-  std::vector<ProcessId> unsafe_senders(const IntendedRound& intended,
-                                        ProcessId receiver) const;
-
-  /// Senders in AHO(receiver): delivered but altered.
-  std::vector<ProcessId> altered_senders(const IntendedRound& intended,
-                                         ProcessId receiver) const;
+  /// SHO(receiver): senders whose delivered message equals the intended
+  /// one (the support minus the altered links).
+  ProcessSet safe(ProcessId receiver) const;
 
  private:
   const IntendedRound* faithful_ = nullptr;  ///< set by assign_faithful
   std::vector<ProcessSet> altered_;          ///< per receiver, delivered ∧ != intended
-  ReceptionVector broadcast_base_;           ///< shared faithful vector scratch
+  /// The faithful base every receiver binds to; on the heap so the
+  /// bindings survive a move of the round.
+  std::unique_ptr<ReceptionVector> base_;
 };
 
 /// How a corrupted message is fabricated from the original.

@@ -44,11 +44,9 @@ void RandomCorruptionAdversary::apply(const IntendedRound& intended,
             : static_cast<int>(rng.range(1, static_cast<std::int64_t>(budget)));
     victim_scratch_.assign_random_subset(rng, count);
     victim_scratch_.for_each([&](ProcessId sender) {
-      const Msg& original =
-          intended.by_sender[static_cast<std::size_t>(sender)]
-                            [static_cast<std::size_t>(p)];
-      delivered.put_altered(sender, p,
-                            corrupt_message(original, config_.policy, rng));
+      delivered.put_altered(
+          sender, p,
+          corrupt_message(intended.intended(sender, p), config_.policy, rng));
     });
   });
 }

@@ -221,24 +221,34 @@ void SafetyClampAdversary::apply(const IntendedRound& intended,
   inner_->apply(intended, delivered, rng);
 
   const int n = intended.n();
+  if (ho_scratch_.universe_size() != n) {
+    ho_scratch_ = ProcessSet(n);
+    safe_scratch_ = ProcessSet(n);
+  }
   for (ProcessId p = 0; p < n; ++p) {
-    // First bound the alterations (P_alpha), repairing altered links.
+    // First bound the alterations (P_alpha), repairing altered links in a
+    // random order.
     if (max_aho_ >= 0) {
-      auto altered = delivered.altered_senders(intended, p);
-      rng.shuffle(altered);
-      while (static_cast<int>(altered.size()) > max_aho_) {
-        delivered.restore(intended, altered.back(), p);
-        altered.pop_back();
+      candidates_.clear();
+      delivered.altered(p).for_each([&](ProcessId q) { candidates_.push_back(q); });
+      rng.shuffle(candidates_);
+      while (static_cast<int>(candidates_.size()) > max_aho_) {
+        delivered.restore(intended, candidates_.back(), p);
+        candidates_.pop_back();
       }
     }
-    // Then lift |SHO| strictly above min_sho (P^{U,safe}).
+    // Then lift |SHO| strictly above min_sho (P^{U,safe}); the unsafe
+    // links are the complement of SHO = support \ altered.
     if (min_sho_ >= 0) {
-      auto unsafe = delivered.unsafe_senders(intended, p);
-      rng.shuffle(unsafe);
-      int safe = delivered.safe_count(intended, p);
-      while (static_cast<double>(safe) <= min_sho_ && !unsafe.empty()) {
-        delivered.restore(intended, unsafe.back(), p);
-        unsafe.pop_back();
+      delivered.ground_truth_into(p, ho_scratch_, safe_scratch_);
+      candidates_.clear();
+      for (ProcessId q = 0; q < n; ++q)
+        if (!safe_scratch_.contains(q)) candidates_.push_back(q);
+      rng.shuffle(candidates_);
+      int safe = safe_scratch_.count();
+      while (static_cast<double>(safe) <= min_sho_ && !candidates_.empty()) {
+        delivered.restore(intended, candidates_.back(), p);
+        candidates_.pop_back();
         ++safe;
       }
       HOVAL_ENSURES_MSG(static_cast<double>(safe) > min_sho_ ||

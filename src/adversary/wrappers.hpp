@@ -156,6 +156,10 @@ class SafetyClampAdversary final : public Adversary {
   std::shared_ptr<Adversary> inner_;
   double min_sho_;
   int max_aho_;
+  // Per-receiver scratch, grown once and reused every round.
+  std::vector<ProcessId> candidates_;  ///< links to repair, ascending then shuffled
+  ProcessSet ho_scratch_;
+  ProcessSet safe_scratch_;
 };
 
 }  // namespace hoval

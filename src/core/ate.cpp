@@ -14,13 +14,19 @@ Msg AteProcess::message_for(Round /*r*/, ProcessId /*dest*/) const {
 }
 
 void AteProcess::transition(Round r, const ReceptionVector& mu) {
-  // Both rules below read the same estimate histogram; build it once and
-  // consume it immediately through the histogram helpers.
-  const PayloadHistogram& hist =
-      mu.payload_histogram_scratch(MsgKind::kEstimate);
-  const std::optional<Value> most_frequent = smallest_most_frequent(hist);
-  const std::optional<Value> decided =
-      payload_exceeding(hist, params_.threshold_e);
+  // Both rules below read the estimate histogram; one ascending pass
+  // answers both (ties toward the smallest value, as the paper requires).
+  std::optional<Value> most_frequent;
+  int most_frequent_count = 0;
+  std::optional<Value> decided;
+  mu.for_each_payload(MsgKind::kEstimate, [&](Value v, int count) {
+    if (count > most_frequent_count) {
+      most_frequent = v;
+      most_frequent_count = count;
+    }
+    if (!decided && static_cast<double>(count) > params_.threshold_e)
+      decided = v;
+  });
 
   // Line 7-8: adopt the smallest most often received value when more than
   // T messages (of any content — corrupted ones count towards |HO|) came in.

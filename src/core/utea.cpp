@@ -37,20 +37,19 @@ void UteaProcess::second_round_transition(Round r, const ReceptionVector& mu) {
   // least one process genuinely voted v.  Pick the best-supported value
   // (smallest on ties); under Lemma 8's conditions at most one value can
   // clear the alpha+1 bar anyway.
-  // Adoption and decision both read the vote histogram; build it once and
-  // consume it immediately.
-  const PayloadHistogram& hist = mu.payload_histogram_scratch(MsgKind::kVote);
+  // Adoption and decision (lines 18-19: strictly more than E true votes
+  // for one value) both read the vote histogram in one ascending pass.
   std::optional<Value> adopted;
   int adopted_count = 0;
-  for (const auto& [value, count] : hist) {
+  std::optional<Value> decided;
+  mu.for_each_payload(MsgKind::kVote, [&](Value v, int count) {
     if (count >= params_.alpha + 1 && count > adopted_count) {
-      adopted = value;
+      adopted = v;
       adopted_count = count;
     }
-  }
-  // Lines 18-19: decide on strictly more than E true votes for one value.
-  const std::optional<Value> decided =
-      payload_exceeding(hist, params_.threshold_e);
+    if (!decided && static_cast<double>(count) > params_.threshold_e)
+      decided = v;
+  });
 
   x_ = adopted ? *adopted : params_.default_value;
   if (decided) decide(*decided, r);

@@ -24,37 +24,6 @@ ProcessSet ProcessSet::of(int n, const std::vector<ProcessId>& members) {
   return s;
 }
 
-int ProcessSet::count() const noexcept {
-  const std::uint64_t* words = blocks();
-  int total = 0;
-  for (std::size_t i = 0; i < block_count(); ++i)
-    total += __builtin_popcountll(words[i]);
-  return total;
-}
-
-bool ProcessSet::contains(ProcessId p) const {
-  HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
-  return (blocks()[static_cast<std::size_t>(p) / 64] >>
-          (static_cast<std::size_t>(p) % 64)) & 1u;
-}
-
-void ProcessSet::insert(ProcessId p) {
-  HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
-  blocks()[static_cast<std::size_t>(p) / 64] |=
-      std::uint64_t{1} << (static_cast<std::size_t>(p) % 64);
-}
-
-void ProcessSet::erase(ProcessId p) {
-  HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
-  blocks()[static_cast<std::size_t>(p) / 64] &=
-      ~(std::uint64_t{1} << (static_cast<std::size_t>(p) % 64));
-}
-
-void ProcessSet::clear() noexcept {
-  inline_ = 0;
-  for (auto& block : spill_) block = 0;
-}
-
 ProcessSet ProcessSet::intersect(const ProcessSet& other) const {
   ProcessSet out = *this;
   out.intersect_with(other);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "model/types.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hoval {
@@ -38,7 +39,13 @@ class ProcessSet {
   int universe_size() const noexcept { return n_; }
 
   /// Number of members.
-  int count() const noexcept;
+  int count() const noexcept {
+    const std::uint64_t* words = blocks();
+    int total = 0;
+    for (std::size_t i = 0; i < block_count(); ++i)
+      total += __builtin_popcountll(words[i]);
+    return total;
+  }
 
   bool empty() const noexcept {
     // Early-exit on the first nonzero word instead of popcounting every
@@ -50,10 +57,27 @@ class ProcessSet {
     return true;
   }
 
-  bool contains(ProcessId p) const;
-  void insert(ProcessId p);
-  void erase(ProcessId p);
-  void clear() noexcept;
+  // Single-member probes are inline (they sit inside the per-link loops
+  // of the delivery kernel); the universe check stays on.
+  bool contains(ProcessId p) const {
+    HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
+    return (blocks()[static_cast<std::size_t>(p) / 64] >>
+            (static_cast<std::size_t>(p) % 64)) & 1u;
+  }
+  void insert(ProcessId p) {
+    HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
+    blocks()[static_cast<std::size_t>(p) / 64] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(p) % 64);
+  }
+  void erase(ProcessId p) {
+    HOVAL_EXPECTS_MSG(p >= 0 && p < n_, "process id out of universe");
+    blocks()[static_cast<std::size_t>(p) / 64] &=
+        ~(std::uint64_t{1} << (static_cast<std::size_t>(p) % 64));
+  }
+  void clear() noexcept {
+    inline_ = 0;
+    for (auto& block : spill_) block = 0;
+  }
 
   /// Set algebra; operands must share the same universe size.
   ProcessSet intersect(const ProcessSet& other) const;

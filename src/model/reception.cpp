@@ -8,139 +8,151 @@ namespace hoval {
 
 namespace {
 
-/// Adds one occurrence of `v` to a sorted flat histogram.
-void hist_add(PayloadHistogram& hist, Value v) {
-  auto it = std::lower_bound(
-      hist.begin(), hist.end(), v,
-      [](const std::pair<Value, int>& entry, Value value) {
-        return entry.first < value;
-      });
-  if (it != hist.end() && it->first == v)
-    ++it->second;
-  else
-    hist.insert(it, {v, 1});
-}
-
-/// Removes one occurrence of `v` from a sorted flat histogram.
-void hist_remove(PayloadHistogram& hist, Value v) {
-  auto it = std::lower_bound(
-      hist.begin(), hist.end(), v,
-      [](const std::pair<Value, int>& entry, Value value) {
-        return entry.first < value;
-      });
-  HOVAL_ENSURES_MSG(it != hist.end() && it->first == v && it->second > 0,
-                    "histogram out of step with slots");
-  if (--it->second == 0) hist.erase(it);
+PayloadHistogram::iterator lower_bound_value(PayloadHistogram& hist, Value v) {
+  return std::lower_bound(hist.begin(), hist.end(), v,
+                          [](const std::pair<Value, int>& entry, Value value) {
+                            return entry.first < value;
+                          });
 }
 
 }  // namespace
 
+// ------------------------------------------------------------ PayloadCounts
+
+void PayloadCounts::add_other(Value v) {
+  auto it = lower_bound_value(others_, v);
+  if (it != others_.end() && it->first == v)
+    ++it->second;
+  else
+    others_.insert(it, {v, 1});
+}
+
+void PayloadCounts::remove_other(Value v) {
+  auto it = lower_bound_value(others_, v);
+  HOVAL_ENSURES_MSG(it != others_.end() && it->first == v,
+                    "histogram out of step with slots");
+  if (--it->second == 0) others_.erase(it);
+}
+
+int PayloadCounts::count(Value v) const noexcept {
+  if (counted(v))
+    return (occupied_ >> v) & 1u ? counts_[v] : 0;
+  const auto it = std::lower_bound(
+      others_.begin(), others_.end(), v,
+      [](const std::pair<Value, int>& entry, Value value) {
+        return entry.first < value;
+      });
+  return it != others_.end() && it->first == v ? it->second : 0;
+}
+
+void PayloadCounts::assign(const PayloadCounts& other) {
+  occupied_ = other.occupied_;
+  for (std::uint64_t word = occupied_; word != 0; word &= word - 1) {
+    const int v = __builtin_ctzll(word);
+    counts_[v] = other.counts_[v];
+  }
+  if (!others_.empty() || !other.others_.empty())
+    others_ = other.others_;  // reuses capacity
+}
+
+// --------------------------------------------------------- ReceptionVector
+
+void ReceptionVector::Aggregates::clear() noexcept {
+  for (int& count : kind_counts) count = 0;
+  question_votes = 0;
+  for (auto& hist : hists) hist.clear();
+}
+
+void ReceptionVector::Aggregates::assign(const Aggregates& other) {
+  for (int k = 0; k < kKinds; ++k) {
+    kind_counts[k] = other.kind_counts[k];
+    hists[k].assign(other.hists[k]);
+  }
+  question_votes = other.question_votes;
+}
+
 ReceptionVector::ReceptionVector(int n)
-    : slots_(static_cast<std::size_t>(n)), present_(n) {
+    : slots_(static_cast<std::size_t>(n)), overridden_(n), present_(n) {
   HOVAL_EXPECTS_MSG(n >= 0, "universe size must be non-negative");
+}
+
+ReceptionVector::ReceptionVector(const ReceptionVector& other) {
+  flatten_from(other);
+}
+
+ReceptionVector& ReceptionVector::operator=(const ReceptionVector& other) {
+  if (this != &other) flatten_from(other);
+  return *this;
+}
+
+void ReceptionVector::flatten_from(const ReceptionVector& other) {
+  const int n = other.universe_size();
+  slots_.resize(static_cast<std::size_t>(n));
+  for (ProcessId q = 0; q < n; ++q)
+    slots_[static_cast<std::size_t>(q)] = other.slot(q);
+  if (overridden_.universe_size() != n) overridden_ = ProcessSet(n);
+  overridden_.clear();
+  present_ = other.present_;
+  other.ensure_aggregates();
+  aggregates_.assign(other.aggregates_);
+  aggregates_current_ = true;
+  base_ = nullptr;
 }
 
 void ReceptionVector::reset(int n) {
   HOVAL_EXPECTS_MSG(n >= 0, "universe size must be non-negative");
-  if (static_cast<int>(slots_.size()) == n) {
+  if (universe_size() == n) {
     for (auto& slot : slots_) slot.reset();
     present_.clear();
+    overridden_.clear();
   } else {
     slots_.assign(static_cast<std::size_t>(n), std::nullopt);
     present_ = ProcessSet(n);
+    overridden_ = ProcessSet(n);
   }
-  for (int& count : kind_counts_) count = 0;
-  question_votes_ = 0;
-  for (auto& hist : hists_) hist.clear();
+  aggregates_.clear();
+  aggregates_current_ = true;
+  base_ = nullptr;
 }
 
-void ReceptionVector::aggregate_add(ProcessId q, const Msg& m) {
-  present_.insert(q);
-  ++kind_counts_[kind_index(m.kind)];
-  if (m.payload)
-    hist_add(hists_[kind_index(m.kind)], *m.payload);
-  else if (m.kind == MsgKind::kVote)
-    ++question_votes_;
-}
-
-void ReceptionVector::aggregate_remove(ProcessId q, const Msg& m) {
-  present_.erase(q);
-  --kind_counts_[kind_index(m.kind)];
-  if (m.payload)
-    hist_remove(hists_[kind_index(m.kind)], *m.payload);
-  else if (m.kind == MsgKind::kVote)
-    --question_votes_;
-}
-
-void ReceptionVector::set(ProcessId q, Msg m) {
-  HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
-  std::optional<Msg>& slot = slots_[static_cast<std::size_t>(q)];
-  if (slot) aggregate_remove(q, *slot);
-  slot = m;
-  aggregate_add(q, m);
-}
-
-void ReceptionVector::fill_faithful(
-    const std::vector<std::vector<Msg>>& by_sender, ProcessId receiver) {
-  const std::size_t n = slots_.size();
-  HOVAL_EXPECTS_MSG(by_sender.size() == n &&
-                        receiver >= 0 && static_cast<std::size_t>(receiver) < n,
-                    "faithful fill needs an n x n matrix over this universe");
-  for (int& count : kind_counts_) count = 0;
-  question_votes_ = 0;
-  for (auto& hist : hists_) hist.clear();
-  for (std::size_t q = 0; q < n; ++q) {
-    const Msg& m = by_sender[q][static_cast<std::size_t>(receiver)];
-    slots_[q] = m;
-    ++kind_counts_[kind_index(m.kind)];
-    if (m.payload)
-      hist_add(hists_[kind_index(m.kind)], *m.payload);
-    else if (m.kind == MsgKind::kVote)
-      ++question_votes_;
+void ReceptionVector::bind(const ReceptionVector& base) {
+  HOVAL_EXPECTS_MSG(base.base_ == nullptr && &base != this,
+                    "a copy-on-write base must own its slots");
+  const int n = base.universe_size();
+  if (universe_size() != n) {
+    slots_.assign(static_cast<std::size_t>(n), std::nullopt);
+    overridden_ = ProcessSet(n);
+  } else {
+    overridden_.clear();
   }
-  present_.clear();
-  for (std::size_t q = 0; q < n; ++q)
-    present_.insert(static_cast<ProcessId>(q));
-}
-
-void ReceptionVector::ground_truth_into(
-    const std::vector<std::vector<Msg>>& by_sender, ProcessId receiver,
-    ProcessSet& ho, ProcessSet& sho) const {
-  const std::size_t n = slots_.size();
-  HOVAL_EXPECTS_MSG(by_sender.size() == n &&
-                        receiver >= 0 && static_cast<std::size_t>(receiver) < n,
-                    "ground truth needs an n x n matrix over this universe");
-  HOVAL_EXPECTS_MSG(ho.universe_size() == static_cast<int>(n) &&
-                        sho.universe_size() == static_cast<int>(n),
-                    "ground-truth sets must be over the same universe");
-  ho.clear();
-  sho.clear();
-  for (std::size_t q = 0; q < n; ++q) {
-    const std::optional<Msg>& got = slots_[q];
-    if (!got) continue;
-    ho.insert(static_cast<ProcessId>(q));
-    if (*got == by_sender[q][static_cast<std::size_t>(receiver)])
-      sho.insert(static_cast<ProcessId>(q));
-  }
+  present_ = base.present_;  // same universe: a word copy
+  base_ = &base;
+  aggregates_current_ = false;
 }
 
 void ReceptionVector::unset(ProcessId q) {
   HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
-  std::optional<Msg>& slot = slots_[static_cast<std::size_t>(q)];
-  if (!slot) return;
-  aggregate_remove(q, *slot);
-  slot.reset();
+  if (!present_.contains(q)) return;
+  const auto i = static_cast<std::size_t>(q);
+  if (aggregates_current_) aggregates_.remove(*slot(q));
+  slots_[i].reset();
+  if (base_ != nullptr) {
+    if (base_->slots_[i])
+      overridden_.insert(q);
+    else
+      overridden_.erase(q);  // the base has no entry either
+  }
+  present_.erase(q);
 }
 
-const std::optional<Msg>& ReceptionVector::get(ProcessId q) const {
-  HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
-  return slots_[static_cast<std::size_t>(q)];
-}
-
-ProcessSet ReceptionVector::support() const {
-  ProcessSet s(universe_size());
-  support_into(s);
-  return s;
+void ReceptionVector::merge_aggregates() const {
+  aggregates_.assign(base_->aggregates_);
+  overridden_.for_each([&](ProcessId q) {
+    const auto i = static_cast<std::size_t>(q);
+    if (const std::optional<Msg>& was = base_->slots_[i]) aggregates_.remove(*was);
+    if (const std::optional<Msg>& now = slots_[i]) aggregates_.add(*now);
+  });
+  aggregates_current_ = true;
 }
 
 void ReceptionVector::support_into(ProcessSet& out) const {
@@ -149,70 +161,53 @@ void ReceptionVector::support_into(ProcessSet& out) const {
   out = present_;  // word copy; same universe, so no allocation
 }
 
-int ReceptionVector::count_received() const noexcept {
-  return present_.count();
+int ReceptionVector::count_kind(MsgKind kind) const {
+  ensure_aggregates();
+  return aggregates_.kind_counts[kind_index(kind)];
 }
 
-int ReceptionVector::count_kind(MsgKind kind) const noexcept {
-  return kind_counts_[kind_index(kind)];
+int ReceptionVector::count_payload(MsgKind kind, Value v) const {
+  ensure_aggregates();
+  return aggregates_.hists[kind_index(kind)].count(v);
 }
 
-int ReceptionVector::count_payload(MsgKind kind, Value v) const noexcept {
-  const PayloadHistogram& hist = hists_[kind_index(kind)];
-  const auto it = std::lower_bound(
-      hist.begin(), hist.end(), v,
-      [](const std::pair<Value, int>& entry, Value value) {
-        return entry.first < value;
-      });
-  return it != hist.end() && it->first == v ? it->second : 0;
-}
-
-int ReceptionVector::count_question_votes() const noexcept {
-  return question_votes_;
+int ReceptionVector::count_question_votes() const {
+  ensure_aggregates();
+  return aggregates_.question_votes;
 }
 
 PayloadHistogram ReceptionVector::payload_histogram(MsgKind kind) const {
-  return hists_[kind_index(kind)];
-}
-
-const PayloadHistogram& ReceptionVector::payload_histogram_scratch(
-    MsgKind kind) const {
-  return hists_[kind_index(kind)];
-}
-
-std::optional<Value> smallest_most_frequent(const PayloadHistogram& hist) {
-  std::optional<Value> best;
-  int best_count = 0;
-  for (const auto& [value, count] : hist) {
-    if (count > best_count) {  // ascending values: ties keep the smallest
-      best = value;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-std::optional<Value> payload_exceeding(const PayloadHistogram& hist,
-                                       double threshold) {
-  for (const auto& [value, count] : hist)
-    if (static_cast<double>(count) > threshold) return value;
-  return std::nullopt;
+  PayloadHistogram hist;
+  for_each_payload(kind, [&](Value v, int count) { hist.emplace_back(v, count); });
+  return hist;
 }
 
 std::optional<Value> ReceptionVector::smallest_most_frequent(MsgKind kind) const {
-  return hoval::smallest_most_frequent(payload_histogram_scratch(kind));
+  std::optional<Value> best;
+  int best_count = 0;
+  for_each_payload(kind, [&](Value v, int count) {
+    if (count > best_count) {  // ascending values: ties keep the smallest
+      best = v;
+      best_count = count;
+    }
+  });
+  return best;
 }
 
 std::optional<Value> ReceptionVector::payload_exceeding(MsgKind kind,
                                                         double threshold) const {
-  return hoval::payload_exceeding(payload_histogram_scratch(kind), threshold);
+  std::optional<Value> found;
+  for_each_payload(kind, [&](Value v, int count) {
+    if (!found && static_cast<double>(count) > threshold) found = v;
+  });
+  return found;
 }
 
 ProcessSet ReceptionVector::senders_of(const Msg& m) const {
   ProcessSet s(universe_size());
-  for (int q = 0; q < universe_size(); ++q) {
-    const auto& slot = slots_[static_cast<std::size_t>(q)];
-    if (slot && *slot == m) s.insert(q);
+  for (ProcessId q = 0; q < universe_size(); ++q) {
+    const auto& entry = slot(q);
+    if (entry && *entry == m) s.insert(q);
   }
   return s;
 }

@@ -61,28 +61,22 @@ bool Simulator::step() {
   const int n = static_cast<int>(processes_.size());
   const Round r = next_round_++;
 
-  // (1) Sending functions, into the workspace's reusable matrix.  A
-  // broadcasting sender's row is one S_q^r evaluation fanned out, not n;
-  // when every sender broadcasts the matrix is flagged uniform so the
-  // delivery layer can share one base reception vector across receivers.
+  // (1) Sending functions, into the workspace's reusable round.  A
+  // broadcasting sender is one S_q^r evaluation stored once, not n.
   IntendedRound& intended = workspace_->intended;
   intended.round = r;
-  bool uniform = true;
   for (ProcessId q = 0; q < n; ++q) {
     const HoProcess& sender = *processes_[static_cast<std::size_t>(q)];
-    auto& row = intended.by_sender[static_cast<std::size_t>(q)];
     if (sender.broadcasts()) {
-      const Msg m = sender.message_for(r, 0);
-      for (ProcessId p = 0; p < n; ++p) row[static_cast<std::size_t>(p)] = m;
+      intended.broadcast(q, sender.message_for(r, 0));
     } else {
-      uniform = false;
       for (ProcessId p = 0; p < n; ++p)
-        row[static_cast<std::size_t>(p)] = sender.message_for(r, p);
+        intended.send(q, p, sender.message_for(r, p));
     }
   }
-  intended.uniform_rows = uniform;
 
-  // (2) Adversary transforms the faithful delivery.
+  // (2) Adversary transforms the faithful delivery: every receiver starts
+  // as a copy-on-write view of one shared faithful base vector.
   DeliveredRound& delivered = workspace_->delivered;
   delivered.assign_faithful(intended);
   adversary_->apply(intended, delivered, rng_);

@@ -27,41 +27,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& word : s_) word = sm.next();
 }
 
-Rng::result_type Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) noexcept {
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  if (bound == 0) return 0;  // degenerate; callers check, but stay total
-  std::uint64_t x = next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) noexcept {
-  if (lo > hi) return lo;
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::uniform() noexcept {
   // 53 high bits -> double in [0,1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

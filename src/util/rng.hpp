@@ -83,14 +83,42 @@ class Rng {
 
   /// Next raw 64-bit value.
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  result_type next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's unbiased multiply-shift
   /// rejection method.  bound must be > 0.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    if (bound == 0) return 0;  // degenerate; callers check, but stay total
+    std::uint64_t x = next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
+  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept {
+    if (lo > hi) return lo;
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    return lo + static_cast<std::int64_t>(below(span));
+  }
 
   /// Uniform double in [0, 1).
   double uniform() noexcept;
@@ -129,6 +157,10 @@ class Rng {
   Rng fork(std::uint64_t label) noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
 

@@ -11,10 +11,8 @@ namespace {
 IntendedRound broadcast_round(int n, Round r, Value base) {
   IntendedRound intended;
   intended.round = r;
-  intended.by_sender.resize(static_cast<std::size_t>(n));
-  for (ProcessId q = 0; q < n; ++q)
-    intended.by_sender[static_cast<std::size_t>(q)]
-        .assign(static_cast<std::size_t>(n), make_estimate(base + q));
+  intended.resize(n);
+  for (ProcessId q = 0; q < n; ++q) intended.broadcast(q, make_estimate(base + q));
   return intended;
 }
 
@@ -28,8 +26,7 @@ TEST(Delivered, FaithfulDeliveryMatchesIntent) {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, make_estimate(10 + q));
     }
-    EXPECT_EQ(delivered.safe_count(intended, p), 4);
-    EXPECT_TRUE(delivered.unsafe_senders(intended, p).empty());
+    EXPECT_EQ(delivered.safe(p), ProcessSet::universe(4));
   }
 }
 
@@ -38,19 +35,20 @@ TEST(Delivered, PutOmitRestore) {
   auto delivered = DeliveredRound::faithful(intended);
 
   delivered.put(1, 0, make_estimate(99));
-  EXPECT_EQ(delivered.safe_count(intended, 0), 2);
-  EXPECT_EQ(delivered.altered_senders(intended, 0), (std::vector<ProcessId>{1}));
+  EXPECT_EQ(delivered.safe(0).count(), 2);
+  EXPECT_EQ(delivered.altered(0).members(), (std::vector<ProcessId>{1}));
 
   delivered.omit(2, 0);
-  EXPECT_EQ(delivered.safe_count(intended, 0), 1);
+  EXPECT_EQ(delivered.safe(0).count(), 1);
   // Unsafe = altered (1) + omitted (2).
-  EXPECT_EQ(delivered.unsafe_senders(intended, 0), (std::vector<ProcessId>{1, 2}));
+  EXPECT_EQ(delivered.safe(0).complement().members(),
+            (std::vector<ProcessId>{1, 2}));
   // Omitted links are not "altered".
-  EXPECT_EQ(delivered.altered_senders(intended, 0), (std::vector<ProcessId>{1}));
+  EXPECT_EQ(delivered.altered(0).members(), (std::vector<ProcessId>{1}));
 
   delivered.restore(intended, 1, 0);
   delivered.restore(intended, 2, 0);
-  EXPECT_EQ(delivered.safe_count(intended, 0), 3);
+  EXPECT_EQ(delivered.safe(0).count(), 3);
 }
 
 TEST(CorruptMessage, AlwaysDiffersFromOriginal) {
@@ -96,7 +94,7 @@ TEST(IdentityAdversary, ChangesNothing) {
   IdentityAdversary identity;
   Rng rng(1);
   identity.apply(intended, delivered, rng);
-  for (ProcessId p = 0; p < 5; ++p) EXPECT_EQ(delivered.safe_count(intended, p), 5);
+  for (ProcessId p = 0; p < 5; ++p) EXPECT_EQ(delivered.safe(p).count(), 5);
   EXPECT_EQ(identity.name(), "identity");
 }
 
@@ -109,7 +107,7 @@ TEST(RandomOmission, RespectsCapPerReceiver) {
   for (ProcessId p = 0; p < 10; ++p) {
     EXPECT_EQ(delivered.by_receiver[p].count_received(), 7);
     // Omissions only: delivered messages are all safe.
-    EXPECT_EQ(delivered.safe_count(intended, p), 7);
+    EXPECT_EQ(delivered.safe(p).count(), 7);
   }
 }
 

@@ -12,10 +12,8 @@ namespace {
 IntendedRound broadcast_round(int n, Round r, Value v) {
   IntendedRound intended;
   intended.round = r;
-  intended.by_sender.resize(static_cast<std::size_t>(n));
-  for (ProcessId q = 0; q < n; ++q)
-    intended.by_sender[static_cast<std::size_t>(q)]
-        .assign(static_cast<std::size_t>(n), make_estimate(v));
+  intended.resize(n);
+  for (ProcessId q = 0; q < n; ++q) intended.broadcast(q, make_estimate(v));
   return intended;
 }
 
@@ -62,10 +60,10 @@ TEST(StaticByzantine, OnlyVictimLinksAreAltered) {
   adversary.apply(intended, delivered, rng);
 
   for (ProcessId p = 0; p < n; ++p) {
-    for (ProcessId q : delivered.altered_senders(intended, p))
+    for (ProcessId q : delivered.altered(p).members())
       EXPECT_TRUE(victims.count(q)) << "non-victim " << q << " was altered";
     // Every victim link is altered (corrupt_message guarantees change).
-    EXPECT_EQ(delivered.altered_senders(intended, p).size(), victims.size());
+    EXPECT_EQ(delivered.altered(p).count(), static_cast<int>(victims.size()));
   }
 }
 
@@ -86,7 +84,7 @@ TEST(StaticByzantine, AlteredSpanWithinVictims) {
     auto delivered = DeliveredRound::faithful(intended);
     adversary.apply(intended, delivered, rng);
     for (ProcessId p = 0; p < n; ++p)
-      for (ProcessId q : delivered.altered_senders(intended, p))
+      for (ProcessId q : delivered.altered(p).members())
         altered_span.insert(q);
   }
   EXPECT_LE(altered_span.count(), 4);
@@ -153,7 +151,7 @@ TEST(StaticByzantine, CrashModeOmits) {
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < n; ++p) {
     EXPECT_EQ(delivered.by_receiver[p].count_received(), 3);
-    EXPECT_TRUE(delivered.altered_senders(intended, p).empty());
+    EXPECT_TRUE(delivered.altered(p).empty());
   }
 }
 

@@ -13,16 +13,13 @@ namespace {
 IntendedRound broadcast_round(int n, Round r, const std::vector<Value>& estimates) {
   IntendedRound intended;
   intended.round = r;
-  intended.by_sender.resize(static_cast<std::size_t>(n));
-  for (ProcessId q = 0; q < n; ++q)
-    intended.by_sender[static_cast<std::size_t>(q)]
-        .assign(static_cast<std::size_t>(n), make_estimate(estimates[q]));
+  intended.resize(n);
+  for (ProcessId q = 0; q < n; ++q) intended.broadcast(q, make_estimate(estimates[q]));
   return intended;
 }
 
-int altered_count(const IntendedRound& intended, const DeliveredRound& delivered,
-                  ProcessId p) {
-  return static_cast<int>(delivered.altered_senders(intended, p).size());
+int altered_count(const DeliveredRound& delivered, ProcessId p) {
+  return delivered.altered(p).count();
 }
 
 TEST(RandomCorruption, NeverExceedsAlphaPerReceiver) {
@@ -36,7 +33,7 @@ TEST(RandomCorruption, NeverExceedsAlphaPerReceiver) {
     auto delivered = DeliveredRound::faithful(intended);
     adversary.apply(intended, delivered, rng);
     for (ProcessId p = 0; p < n; ++p)
-      ASSERT_LE(altered_count(intended, delivered, p), 4)
+      ASSERT_LE(altered_count(delivered, p), 4)
           << "round " << r << " receiver " << p;
   }
 }
@@ -53,7 +50,7 @@ TEST(RandomCorruption, AlwaysMaxCorruptsExactlyAlpha) {
   auto delivered = DeliveredRound::faithful(intended);
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < n; ++p)
-    EXPECT_EQ(altered_count(intended, delivered, p), 3);
+    EXPECT_EQ(altered_count(delivered, p), 3);
 }
 
 TEST(RandomCorruption, ZeroAlphaIsIdentity) {
@@ -64,7 +61,7 @@ TEST(RandomCorruption, ZeroAlphaIsIdentity) {
   auto delivered = DeliveredRound::faithful(intended);
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < n; ++p)
-    EXPECT_EQ(delivered.safe_count(intended, p), n);
+    EXPECT_EQ(delivered.safe(p).count(), n);
 }
 
 TEST(RandomCorruption, AttackProbabilityZeroNeverAttacks) {
@@ -77,7 +74,7 @@ TEST(RandomCorruption, AttackProbabilityZeroNeverAttacks) {
   auto delivered = DeliveredRound::faithful(intended);
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < 8; ++p)
-    EXPECT_EQ(altered_count(intended, delivered, p), 0);
+    EXPECT_EQ(altered_count(delivered, p), 0);
 }
 
 TEST(RandomCorruption, CorruptionsNeverDropMessages) {
@@ -113,7 +110,7 @@ TEST(SplitVote, PushesCampsApart) {
   EXPECT_EQ(delivered.by_receiver[n - 1].count_payload(MsgKind::kEstimate, 1), 6);
   // P_alpha compliance.
   for (ProcessId p = 0; p < n; ++p)
-    EXPECT_LE(altered_count(intended, delivered, p), 2);
+    EXPECT_LE(altered_count(delivered, p), 2);
 }
 
 TEST(SplitVote, EqualTargetsRejected) {
@@ -137,7 +134,7 @@ TEST(BlockFault, OneVictimPerRound) {
   // Victim of round 4 (rotating) is process 3; budget n/2 = 5.
   int total_altered = 0;
   for (ProcessId p = 0; p < n; ++p) {
-    const auto altered = delivered.altered_senders(intended, p);
+    const auto altered = delivered.altered(p).members();
     total_altered += static_cast<int>(altered.size());
     for (ProcessId q : altered) EXPECT_EQ(q, 3);
     EXPECT_LE(altered.size(), 1u);  // per-receiver alpha = 1
@@ -158,7 +155,7 @@ TEST(BlockFault, OmitModeDropsInsteadOfCorrupting) {
   int missing = 0;
   for (ProcessId p = 0; p < n; ++p) {
     missing += n - delivered.by_receiver[p].count_received();
-    EXPECT_TRUE(delivered.altered_senders(intended, p).empty());
+    EXPECT_TRUE(delivered.altered(p).empty());
   }
   EXPECT_EQ(missing, 4);
 }
@@ -177,7 +174,7 @@ TEST(Bivalence, MaintainsSplitWithoutExceedingBudget) {
   adversary.apply(intended, delivered, rng);
 
   for (ProcessId p = 0; p < n; ++p) {
-    ASSERT_LE(altered_count(intended, delivered, p), 2);
+    ASSERT_LE(altered_count(delivered, p), 2);
     const auto& mu = delivered.by_receiver[p];
     const Value target = p < n / 2 ? 0 : 1;
     // The target value is the strict winner of smallest-most-frequent.

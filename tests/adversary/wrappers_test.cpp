@@ -12,10 +12,8 @@ namespace {
 IntendedRound broadcast_round(int n, Round r, Value v) {
   IntendedRound intended;
   intended.round = r;
-  intended.by_sender.resize(static_cast<std::size_t>(n));
-  for (ProcessId q = 0; q < n; ++q)
-    intended.by_sender[static_cast<std::size_t>(q)]
-        .assign(static_cast<std::size_t>(n), make_estimate(v));
+  intended.resize(n);
+  for (ProcessId q = 0; q < n; ++q) intended.broadcast(q, make_estimate(v));
   return intended;
 }
 
@@ -28,7 +26,7 @@ std::shared_ptr<Adversary> corrupt_all(int alpha) {
 int total_altered(const IntendedRound& intended, const DeliveredRound& delivered) {
   int total = 0;
   for (ProcessId p = 0; p < intended.n(); ++p)
-    total += static_cast<int>(delivered.altered_senders(intended, p).size());
+    total += delivered.altered(p).count();
   return total;
 }
 
@@ -124,7 +122,7 @@ TEST(GoodRound, MinimalModeCarvesPi1Pi2) {
     EXPECT_TRUE(received == 7 || received == n) << "receiver " << p;
     if (received == 7) ++pi1_members;
     // No corruption on a good round.
-    EXPECT_TRUE(delivered.altered_senders(intended, p).empty());
+    EXPECT_TRUE(delivered.altered(p).empty());
   }
   EXPECT_EQ(pi1_members, 5);
 }
@@ -179,7 +177,7 @@ TEST(SafetyClamp, EnforcesAhoBound) {
   auto delivered = DeliveredRound::faithful(intended);
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < n; ++p)
-    EXPECT_LE(delivered.altered_senders(intended, p).size(), 2u);
+    EXPECT_LE(delivered.altered(p).count(), 2);
 }
 
 TEST(SafetyClamp, EnforcesShoBound) {
@@ -194,7 +192,7 @@ TEST(SafetyClamp, EnforcesShoBound) {
     auto delivered = DeliveredRound::faithful(intended);
     adversary.apply(intended, delivered, rng);
     for (ProcessId p = 0; p < n; ++p)
-      ASSERT_GT(delivered.safe_count(intended, p), 5) << "round " << r;
+      ASSERT_GT(delivered.safe(p).count(), 5) << "round " << r;
   }
 }
 
@@ -209,9 +207,8 @@ TEST(SafetyClamp, CombinedBoundsRealiseUSafePattern) {
   auto delivered = DeliveredRound::faithful(intended);
   adversary.apply(intended, delivered, rng);
   for (ProcessId p = 0; p < n; ++p) {
-    EXPECT_GT(static_cast<double>(delivered.safe_count(intended, p)), min_sho);
-    EXPECT_LE(delivered.altered_senders(intended, p).size(),
-              static_cast<std::size_t>(alpha));
+    EXPECT_GT(static_cast<double>(delivered.safe(p).count()), min_sho);
+    EXPECT_LE(delivered.altered(p).count(), alpha);
   }
 }
 

@@ -18,11 +18,10 @@ IntendedRound intended_from(const ProcessVector& processes, Round r) {
   IntendedRound intended;
   intended.round = r;
   const int n = static_cast<int>(processes.size());
-  intended.by_sender.resize(static_cast<std::size_t>(n));
+  intended.resize(n);
   for (ProcessId q = 0; q < n; ++q)
     for (ProcessId p = 0; p < n; ++p)
-      intended.by_sender[static_cast<std::size_t>(q)].push_back(
-          processes[static_cast<std::size_t>(q)]->message_for(r, p));
+      intended.send(q, p, processes[static_cast<std::size_t>(q)]->message_for(r, p));
   return intended;
 }
 
@@ -61,8 +60,7 @@ TEST(Lemma1, ReceivedBoundedByIntendedPlusAltered) {
 
     for (ProcessId p = 0; p < n; ++p) {
       const auto& mu = delivered.by_receiver[static_cast<std::size_t>(p)];
-      const int aho =
-          static_cast<int>(delivered.altered_senders(intended, p).size());
+      const int aho = delivered.altered(p).count();
       for (const auto& [value, count] : mu.payload_histogram(MsgKind::kEstimate)) {
         ASSERT_LE(count, q_count(intended, value) + aho)
             << "n=" << n << " alpha=" << alpha << " p=" << p << " v=" << value;

@@ -29,6 +29,7 @@
 #include "adversary/omission.hpp"
 #include "adversary/wrappers.hpp"
 #include "core/factories.hpp"
+#include "predicates/safety.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
 
@@ -141,6 +142,70 @@ TEST(Allocation, RoundLoopIsAllocationFreeAfterWarmUp) {
     auto* leak_check = new std::vector<int>(128);
     delete leak_check;
     EXPECT_GE(scope.allocations(), 1);
+  }
+}
+
+/// The daemon-served U_{T,E,alpha} stack: corruption clamped to P^{U,safe}
+/// (SafetyClampAdversary's repair lists and restores) under clean phases
+/// (Pi_0 omissions).  Its processes do decide, and recording a decision
+/// may grow a process's decision log; every other allocation in a round
+/// is a regression.  So each round must allocate exactly as often as the
+/// decision logs changed capacity during it.
+TEST(Allocation, ServedColdStackAllocatesOnlyToRecordDecisions) {
+  // bench/suite/workloads/served_cold.json: utea n=9 alpha=4 under
+  // corrupt(alpha=4) -> usafe-clamp -> clean-phases(period=4).
+  const int n = 9;
+  const int alpha = 4;
+  const auto params = UteaParams::canonical(n, alpha);
+  RandomCorruptionConfig corruption;
+  corruption.alpha = alpha;
+  const PUSafe usafe(n, params.threshold_t, params.threshold_e, alpha);
+  CleanPhaseConfig clean;
+  clean.period_phases = 4;
+  const auto adversary = std::make_shared<CleanPhaseScheduler>(
+      std::make_shared<SafetyClampAdversary>(
+          std::make_shared<RandomCorruptionAdversary>(corruption),
+          usafe.bound(), alpha),
+      clean);
+  std::vector<Value> initial;
+  for (int i = 0; i < n; ++i) initial.push_back(i % 3);
+  RunWorkspace workspace;
+  SimConfig config;
+  config.max_rounds = 60;
+  config.stop_when_all_decided = false;
+  std::vector<std::size_t> capacities(static_cast<std::size_t>(n));
+
+  // Returns the allocations not explained by decision-log growth.
+  const auto run_counted = [&](std::uint64_t seed) {
+    config.seed = seed;
+    Simulator sim(make_utea_instance(params, initial), adversary, config,
+                  &workspace);
+    long unexplained = 0;
+    bool stepped = true;
+    while (stepped) {
+      for (std::size_t p = 0; p < capacities.size(); ++p)
+        capacities[p] = sim.processes()[p]->decision_log().capacity();
+      long counted = 0;
+      {
+        CountScope scope;
+        stepped = sim.step();
+        counted = scope.allocations();
+      }
+      long grown = 0;
+      for (std::size_t p = 0; p < capacities.size(); ++p)
+        if (sim.processes()[p]->decision_log().capacity() != capacities[p]) ++grown;
+      unexplained += counted - grown;
+    }
+    EXPECT_EQ(sim.current_round(), 60);
+    EXPECT_GT(sim.snapshot(/*include_trace=*/false).decided_count(), 0)
+        << "the clean phases should let U decide";
+    return unexplained;
+  };
+
+  run_counted(0xC01D);  // warm-up: workspace, trace and clamp scratch
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_EQ(run_counted(seed), 0)
+        << "hot-path allocation regression at seed " << seed;
   }
 }
 

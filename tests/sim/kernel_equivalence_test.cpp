@@ -152,10 +152,7 @@ IntendedRound uniform_round(int n) {
   IntendedRound intended;
   intended.round = 1;
   intended.resize(n);
-  for (ProcessId q = 0; q < n; ++q)
-    for (ProcessId p = 0; p < n; ++p)
-      intended.by_sender[static_cast<std::size_t>(q)]
-                        [static_cast<std::size_t>(p)] = make_estimate(q % 3);
+  for (ProcessId q = 0; q < n; ++q) intended.broadcast(q, make_estimate(q % 3));
   return intended;
 }
 

@@ -56,8 +56,10 @@ class ServiceError : public std::runtime_error {
 /// Bumped on any incompatible protocol change; hello frames carry it and
 /// both sides reject a peer speaking a different version.  Version 2:
 /// CRC-32 in the wire frame header (dispatch/wire.hpp) and the optional
-/// `retry_after_ms` hint on error messages.
-constexpr int kProtocolVersion = 2;
+/// `retry_after_ms` hint on error messages.  Version 3: result documents
+/// carry sample sets as ascending [value, count] pairs
+/// (sim/result_json.hpp), which a version-2 peer cannot parse.
+constexpr int kProtocolVersion = 3;
 
 // --- client -> server ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "sim/result_json.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 
@@ -48,26 +49,57 @@ bool require_bool(const Json& object, const char* key) {
   return value.as_bool();
 }
 
-/// Sample sets serialise in sorted order: the canonical form.  SampleSet
-/// is a multiset (every statistic it exposes is order-insensitive), and a
-/// canonical order makes serialisation independent of whether a quantile
-/// query has already sorted the underlying store in place.
+/// Sample sets serialise as [value, count] pairs in ascending value order:
+/// the canonical form.  SampleSet is a multiset (every statistic it
+/// exposes is order-insensitive); the counted form keeps a result document
+/// the size of its distinct values — decision rounds repeat heavily — and
+/// a canonical order makes serialisation independent of whether a
+/// quantile query has already sorted the underlying store in place.
 Json samples_to_json(const SampleSet& samples) {
   std::vector<double> sorted = samples.samples();
   std::sort(sorted.begin(), sorted.end());
-  Json array = Json::array();
-  for (const double sample : sorted) array.push_back(sample);
-  return array;
+  Json pairs = Json::array();
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    Json pair = Json::array();
+    pair.push_back(sorted[i]);
+    pair.push_back(static_cast<std::uint64_t>(j - i));
+    pairs.push_back(std::move(pair));
+    i = j;
+  }
+  return pairs;
 }
 
-SampleSet samples_from_json(const Json& json, const char* key) {
-  if (!json.is_array()) fail(std::string("\"") + key + "\" must be an array");
+/// Parses the counted form strictly: values must ascend with no
+/// duplicates, counts must be integers >= 1, and the counts must add up to
+/// `expected_total` (one sample per terminated run), which also bounds the
+/// memory a document can make the parser allocate.
+SampleSet samples_from_json(const Json& json, const char* key,
+                            int expected_total) {
+  const std::string name = std::string("\"") + key + "\"";
+  if (!json.is_array()) fail(name + " must be an array of [value, count] pairs");
   SampleSet samples;
-  for (const Json& sample : json.items()) {
-    if (!sample.is_number())
-      fail(std::string("\"") + key + "\" samples must be numbers");
-    samples.add(sample.as_double());
+  std::int64_t total = 0;
+  double previous = 0.0;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const Json& pair = json[i];
+    if (!pair.is_array() || pair.size() != 2 || !pair[0].is_number())
+      fail(name + " entries must be [value, count] pairs");
+    const double value = pair[0].as_double();
+    if (i > 0 && !(value > previous))
+      fail(name + " values must be strictly ascending");
+    if (!pair[1].is_integer() || pair[1].as_int64() < 1)
+      fail(name + " counts must be integers >= 1");
+    const std::int64_t count = pair[1].as_int64();
+    if (count > expected_total - total)
+      fail(name + " holds more samples than \"terminated\" runs");
+    total += count;
+    for (std::int64_t c = 0; c < count; ++c) samples.add(value);
+    previous = value;
   }
+  if (total != expected_total)
+    fail(name + " must hold one sample per \"terminated\" run");
   return samples;
 }
 
@@ -142,10 +174,10 @@ CampaignResult campaign_result_from_json(const Json& json) {
   result.terminated = require_count(json, "terminated");
   result.last_decision_rounds =
       samples_from_json(require(json, "last_decision_rounds"),
-                        "last_decision_rounds");
+                        "last_decision_rounds", result.terminated);
   result.first_decision_rounds =
       samples_from_json(require(json, "first_decision_rounds"),
-                        "first_decision_rounds");
+                        "first_decision_rounds", result.terminated);
 
   const Json& holds = require(json, "predicate_holds");
   if (!holds.is_array()) fail("\"predicate_holds\" must be an array");

@@ -11,8 +11,9 @@
 ///
 /// Round-trip contract: campaign_result_from_json(campaign_result_to_json
 /// (r)) reproduces every aggregate field of `r` exactly — counts, sample
-/// sets (canonicalised to sorted order; SampleSet statistics are
-/// order-insensitive), predicate holds/names/intervals, violation strings
+/// sets (canonicalised to ascending [value, count] pairs, e.g. [[4.0, 1000]];
+/// SampleSet statistics are order-insensitive), predicate
+/// holds/names/intervals, violation strings
 /// and flags.  Doubles survive exactly (util/json.hpp serialises the
 /// shortest representation that parses back to the same value).  The one
 /// deliberate exception: retained traces (CampaignResult::traces) are
@@ -30,14 +31,17 @@
 namespace hoval {
 
 /// Serialises the aggregate fields of one campaign result (traces elided,
-/// see the file comment).  Sample sets are emitted in sorted order, so two
+/// see the file comment).  Sample sets are emitted as ascending
+/// [value, count] pairs, so two
 /// results that are equal as aggregates serialise to identical bytes
 /// regardless of the order their samples were accumulated in.
 Json campaign_result_to_json(const CampaignResult& result);
 
 /// Parses a campaign-result document produced by campaign_result_to_json.
 /// \throws JsonError on unknown/missing keys, type mismatches, negative
-/// counts, or predicate arrays of inconsistent lengths.
+/// counts, predicate arrays of inconsistent lengths, or sample sets that
+/// are not ascending [value, count] pairs with integral counts >= 1
+/// totalling one sample per terminated run.
 CampaignResult campaign_result_from_json(const Json& json);
 
 /// A sweep's merged results as one JSON array, in point order.

@@ -177,5 +177,63 @@ TEST(ResultJson, OffSchemaDocumentsAreRejected) {
   EXPECT_THROW(campaign_result_from_json(not_object), JsonError);
 }
 
+TEST(ResultJson, SampleSetsAreCountedAscendingPairs) {
+  CampaignResult result;
+  result.runs = 7;
+  result.runs_requested = 7;
+  result.terminated = 6;
+  for (const double round : {9.0, 4.0, 4.0, 12.5, 4.0, 9.0})
+    result.last_decision_rounds.add(round);
+  for (int i = 0; i < 6; ++i) result.first_decision_rounds.add(4.0);
+  const Json document = campaign_result_to_json(result);
+  EXPECT_EQ(document.find("last_decision_rounds")->dump(),
+            "[[4.0,3],[9.0,2],[12.5,1]]");
+  EXPECT_EQ(document.find("first_decision_rounds")->dump(), "[[4.0,6]]");
+  expect_lossless(result);
+
+  // A result with no terminated run has empty sample sets.
+  CampaignResult none;
+  none.runs = 3;
+  EXPECT_EQ(campaign_result_to_json(none).find("last_decision_rounds")->dump(), "[]");
+  expect_lossless(none);
+}
+
+TEST(ResultJson, MalformedSampleSetsAreRejected) {
+  CampaignResult result;
+  result.runs = 4;
+  result.terminated = 4;
+  for (int i = 0; i < 4; ++i) {
+    result.last_decision_rounds.add(3.0 + i % 2);
+    result.first_decision_rounds.add(3.0);
+  }
+  const Json valid = campaign_result_to_json(result);
+  ASSERT_NO_THROW(campaign_result_from_json(valid));
+
+  const auto with_samples = [&](const char* samples) {
+    Json document = valid;
+    document.set("last_decision_rounds", Json::parse(samples));
+    return document;
+  };
+  const char* malformed[] = {
+      "[[4.0,2],[3.0,2]]",      // unsorted values
+      "[[3.0,2],[3.0,2]]",      // duplicate value
+      "[[3.0,0],[4.0,4]]",      // count < 1
+      "[[3.0,-2],[4.0,6]]",     // negative count
+      "[[3.0,2.0],[4.0,2]]",    // non-integral count (a double)
+      "[[3.0,1.5],[4.0,2.5]]",  // fractional counts
+      "[3.0,3.0,4.0,4.0]",      // the old flat sample array
+      "[[3.0,2,1],[4.0,2]]",    // not a pair
+      "[[\"3\",2],[4.0,2]]",    // value not a number
+      "[[3.0,2],[4.0,1]]",      // fewer samples than terminated runs
+      "[[3.0,2],[4.0,3]]",      // more samples than terminated runs
+      "[[3.0,9223372036854775807]]",  // absurd count
+      "{}",                     // not an array
+  };
+  for (const char* samples : malformed)
+    EXPECT_THROW(campaign_result_from_json(with_samples(samples)), JsonError)
+        << samples;
+  EXPECT_NO_THROW(campaign_result_from_json(with_samples("[[3.0,2],[4.0,2]]")));
+}
+
 }  // namespace
 }  // namespace hoval

@@ -343,6 +343,23 @@ TEST(Daemon, GarbageFrameGetsAConnectionErrorNotAMisparse) {
   ::close(fd);
 }
 
+TEST(Daemon, PreviousProtocolVersionIsRefusedAtHello) {
+  // A version-2 peer would misread the counted sample sets of version-3
+  // result documents, so the daemon refuses it before any job runs.
+  ServerFixture fixture({});
+  const int fd = connect_socket(fixture.address());
+  dispatch::FrameDecoder decoder;
+  ASSERT_TRUE(dispatch::write_frame(fd, R"({"type": "hello", "version": 2})"));
+  const auto reply = dispatch::read_frame(fd, decoder);
+  ASSERT_TRUE(reply.has_value());
+  const ServerMessage error = parse_server_message(*reply);
+  EXPECT_EQ(error.type, ServerMessage::Type::kError);
+  EXPECT_NE(error.what.find("protocol version mismatch"), std::string::npos)
+      << error.what;
+  EXPECT_FALSE(dispatch::read_frame(fd, decoder).has_value());
+  ::close(fd);
+}
+
 // --- concurrency and cancellation ------------------------------------------
 
 TEST(Daemon, ConcurrentClientsAllGetLocalIdenticalBytes) {

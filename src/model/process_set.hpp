@@ -29,6 +29,18 @@ class ProcessSet {
   /// Empty set over a universe of size `n` (n >= 0).
   explicit ProcessSet(int n = 0);
 
+  ProcessSet(const ProcessSet&) = default;
+  ProcessSet(ProcessSet&&) noexcept = default;
+  ProcessSet& operator=(ProcessSet&&) noexcept = default;
+  /// Copying an inline set (n <= 64) is a two-word store; the block
+  /// vector is only touched when either side has spilled.
+  ProcessSet& operator=(const ProcessSet& other) {
+    n_ = other.n_;
+    inline_ = other.inline_;
+    if (!spill_.empty() || !other.spill_.empty()) spill_ = other.spill_;
+    return *this;
+  }
+
   /// The full universe {0, ..., n-1}.
   static ProcessSet universe(int n);
 

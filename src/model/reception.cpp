@@ -136,12 +136,7 @@ void ReceptionVector::unset(ProcessId q) {
   const auto i = static_cast<std::size_t>(q);
   if (aggregates_current_) aggregates_.remove(*slot(q));
   slots_[i].reset();
-  if (base_ != nullptr) {
-    if (base_->slots_[i])
-      overridden_.insert(q);
-    else
-      overridden_.erase(q);  // the base has no entry either
-  }
+  if (base_ != nullptr) overridden_.insert(q);
   present_.erase(q);
 }
 

@@ -125,21 +125,15 @@ class ReceptionVector {
   void bind(const ReceptionVector& base);
 
   /// Records that the message from `q` was received as `m` (overwrites).
-  void set(ProcessId q, Msg m) {
+  void set(ProcessId q, const Msg& m) {
     HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
     const auto i = static_cast<std::size_t>(q);
     if (aggregates_current_) {
       if (const std::optional<Msg>& current = slot(q)) aggregates_.remove(*current);
       aggregates_.add(m);
     }
-    if (base_ == nullptr) {
-      slots_[i] = m;
-    } else if (base_->slots_[i] == m) {
-      overridden_.erase(q);  // back to the base entry
-    } else {
-      slots_[i] = m;
-      overridden_.insert(q);
-    }
+    slots_[i] = m;
+    if (base_ != nullptr) overridden_.insert(q);
     present_.insert(q);
   }
 

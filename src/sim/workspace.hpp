@@ -3,8 +3,8 @@
 /// \file workspace.hpp
 /// RunWorkspace: the reusable per-run buffers of the Monte-Carlo hot path.
 ///
-/// A single simulated run needs, per round, an n×n intended-message
-/// matrix, n reception vectors and n HO/SHO record pairs — storage the
+/// A single simulated run needs, per round, the intended messages of every
+/// sender, n reception vectors and n HO/SHO record pairs — storage the
 /// seed simulator reallocated from scratch every round of every run.  A
 /// RunWorkspace owns all of it once: the Simulator borrows a workspace and
 /// overwrites the same buffers round after round, and the resettable

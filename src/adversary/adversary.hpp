@@ -106,7 +106,6 @@ struct DeliveredRound {
   DeliveredRound& operator=(const DeliveredRound& other);
   DeliveredRound(DeliveredRound&&) noexcept = default;
   DeliveredRound& operator=(DeliveredRound&&) noexcept = default;
-  ~DeliveredRound() = default;
 
   int n() const noexcept { return static_cast<int>(by_receiver.size()); }
 

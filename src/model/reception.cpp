@@ -8,7 +8,9 @@ namespace hoval {
 
 namespace {
 
-PayloadHistogram::iterator lower_bound_value(PayloadHistogram& hist, Value v) {
+/// The first entry of a sorted histogram whose value is not below `v`.
+template <typename Histogram>
+auto lower_bound_value(Histogram& hist, Value v) {
   return std::lower_bound(hist.begin(), hist.end(), v,
                           [](const std::pair<Value, int>& entry, Value value) {
                             return entry.first < value;
@@ -37,11 +39,7 @@ void PayloadCounts::remove_other(Value v) {
 int PayloadCounts::count(Value v) const noexcept {
   if (counted(v))
     return (occupied_ >> v) & 1u ? counts_[v] : 0;
-  const auto it = std::lower_bound(
-      others_.begin(), others_.end(), v,
-      [](const std::pair<Value, int>& entry, Value value) {
-        return entry.first < value;
-      });
+  const auto it = lower_bound_value(others_, v);
   return it != others_.end() && it->first == v ? it->second : 0;
 }
 

@@ -13,7 +13,8 @@
 /// round's faithful broadcast vector, so a bound receiver is valid only
 /// until its round's next DeliveredRound::assign_faithful (which rewrites
 /// the base).  Copies always flatten: copying a bound vector yields an
-/// owned one with the same contents, which outlives the round.
+/// owned one with the same contents, which outlives the round.  A move
+/// keeps the binding, so a moved-to vector obeys the same rule.
 
 #include <cstdint>
 #include <optional>

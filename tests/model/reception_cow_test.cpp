@@ -218,6 +218,48 @@ TEST(CopyOnWrite, MixedRoundWithPerLinkSendersFillsCompleteRows) {
   }
 }
 
+TEST(CopyOnWrite, TrackedGroundTruthMatchesMessageComparison) {
+  // altered(p) and safe(p) are word algebra over tracked sets; they must
+  // equal AHO and SHO computed by comparing every delivered message with
+  // the intended one, whatever sequence of put/put_altered/omit/restore
+  // an adversary issues (here on a round with one per-link sender).
+  const int n = 9;
+  Rng rng(0xA40);
+  CorruptionPolicy policy;
+  for (int trial = 0; trial < 100; ++trial) {
+    IntendedRound intended = broadcast_round(n, trial % 4);
+    for (ProcessId p = 0; p < n; ++p) intended.send(4, p, make_vote(p % 2));
+    DeliveredRound delivered = DeliveredRound::faithful(intended);
+    for (int op = 0; op < 4 * n; ++op) {
+      const auto q = static_cast<ProcessId>(rng.below(n));
+      const auto p = static_cast<ProcessId>(rng.below(n));
+      switch (rng.below(4)) {
+        case 0: delivered.put(q, p, random_msg(rng)); break;
+        case 1:
+          delivered.put_altered(q, p,
+                                corrupt_message(intended.intended(q, p), policy, rng));
+          break;
+        case 2: delivered.omit(q, p); break;
+        default: delivered.restore(intended, q, p); break;
+      }
+    }
+    for (ProcessId p = 0; p < n; ++p) {
+      ProcessSet aho(n);
+      ProcessSet sho(n);
+      for (ProcessId q = 0; q < n; ++q) {
+        const auto& got = delivered.by_receiver[static_cast<std::size_t>(p)].get(q);
+        if (!got) continue;
+        if (*got == intended.intended(q, p))
+          sho.insert(q);
+        else
+          aho.insert(q);
+      }
+      ASSERT_EQ(delivered.altered(p), aho) << "trial " << trial << " p " << p;
+      ASSERT_EQ(delivered.safe(p), sho) << "trial " << trial << " p " << p;
+    }
+  }
+}
+
 TEST(CopyOnWrite, SendSeedsARowFromTheBroadcastMessage) {
   IntendedRound intended;
   intended.resize(3);

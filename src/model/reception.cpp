@@ -128,6 +128,11 @@ void ReceptionVector::bind(const ReceptionVector& base) {
   aggregates_current_ = false;
 }
 
+void ReceptionVector::replace_in_aggregates(ProcessId q, const Msg& m) {
+  if (const std::optional<Msg>& current = slot(q)) aggregates_.remove(*current);
+  aggregates_.add(m);
+}
+
 void ReceptionVector::unset(ProcessId q) {
   HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
   if (!present_.contains(q)) return;

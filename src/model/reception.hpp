@@ -128,12 +128,8 @@ class ReceptionVector {
   /// Records that the message from `q` was received as `m` (overwrites).
   void set(ProcessId q, const Msg& m) {
     HOVAL_EXPECTS_MSG(q >= 0 && q < universe_size(), "sender id out of universe");
-    const auto i = static_cast<std::size_t>(q);
-    if (aggregates_current_) {
-      if (const std::optional<Msg>& current = slot(q)) aggregates_.remove(*current);
-      aggregates_.add(m);
-    }
-    slots_[i] = m;
+    if (aggregates_current_) replace_in_aggregates(q, m);
+    slots_[static_cast<std::size_t>(q)] = m;
     if (base_ != nullptr) overridden_.insert(q);
     present_.insert(q);
   }
@@ -234,6 +230,9 @@ class ReceptionVector {
                                                         : slots_[i];
   }
 
+  /// Swaps slot `q`'s current entry for `m` in the aggregates.
+  void replace_in_aggregates(ProcessId q, const Msg& m);
+
   void ensure_aggregates() const {
     if (!aggregates_current_) merge_aggregates();
   }
@@ -247,8 +246,8 @@ class ReceptionVector {
   std::vector<std::optional<Msg>> slots_;   ///< owned: all; bound: overridden
   ProcessSet overridden_;  ///< bound: senders whose slot lives in slots_
   ProcessSet present_;     ///< support — exactly HO(p, r)
+  mutable bool aggregates_current_ = true;  // beside the fields set() touches
   mutable Aggregates aggregates_;
-  mutable bool aggregates_current_ = true;
 };
 
 }  // namespace hoval

@@ -91,7 +91,7 @@ void run() {
   // One pool serves all three environment sweeps below.
   Executor executor = bench::make_bench_executor();
   const auto live_results =
-      bench::run_sweep_timed(threshold_sweep(live_base, choices, 0), &executor);
+      bench::run_sweep_timed(threshold_sweep(live_base, choices, 0), executor);
 
   // Safety environment 1: the same-round split attack (kills E below
   // n/2 + alpha).
@@ -103,7 +103,7 @@ void run() {
   attack_base.campaign.runs = 80;
   attack_base.campaign.rounds = 20;
   const auto attack_results = bench::run_sweep_timed(
-      threshold_sweep(attack_base, choices, 1), &executor);
+      threshold_sweep(attack_base, choices, 1), executor);
 
   // Safety environment 2: the cross-round lock-in attack (kills T below
   // the 2(n + 2*alpha - E) frontier even when E is fine), where its
@@ -120,7 +120,7 @@ void run() {
   lock_base.campaign.rounds = 10;
   lock_base.campaign.stop_when_all_decided = false;
   const auto lock_results = bench::run_sweep_timed(
-      threshold_sweep(lock_base, lock_choices, 2), &executor);
+      threshold_sweep(lock_base, lock_choices, 2), executor);
 
   std::size_t next_lock = 0;
   for (std::size_t i = 0; i < choices.size(); ++i) {

@@ -21,6 +21,7 @@ using bench::verdict;
 void run() {
   banner("Classical Byzantine assumptions as predicates",
          "Biely et al., PODC'07, Sec. 5.2 (Fig. 3 discussion)");
+  Executor executor = bench::make_bench_executor();
 
   const int n = 9;
   TablePrinter table({"mode", "f", "|SK| >= n-f", "|HO|>=n-f && |AS|<=f",
@@ -67,7 +68,7 @@ void run() {
             return std::make_shared<CleanPhaseScheduler>(
                 std::make_shared<StaticByzantineAdversary>(byz), clean);
           },
-          config);
+          config, executor);
 
       table.add_row({mode.name, std::to_string(f),
                      ratio(result.predicate_holds[0], result.runs),

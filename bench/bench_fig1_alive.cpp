@@ -21,6 +21,7 @@ using bench::ratio;
 void run() {
   banner("Figure 1 — P^{A,live}: sporadic good rounds drive termination",
          "Biely et al., PODC'07, Fig. 1 and Proposition 3");
+  Executor executor = bench::make_bench_executor();
 
   const int n = 12;
   const int alpha = 2;
@@ -52,7 +53,7 @@ void run() {
       spec.campaign.rounds = 3 * gap + 20;
       spec.campaign.seed = derived_seed(0xF16A, static_cast<std::uint64_t>(gap));
 
-      const auto result = bench::run_scenario_timed(spec);
+      const auto result = bench::run_scenario_timed(spec, executor);
 
       const std::string kind = minimal ? "minimal Pi1/Pi2" : "fully clean";
       if (result.last_decision_rounds.empty()) {

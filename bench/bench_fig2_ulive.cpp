@@ -60,7 +60,7 @@ void scenario(const std::string& title, const UteaParams& params,
                              static_cast<std::uint64_t>(gap * 100 + pi0)))});
   sweep.axes.push_back(std::move(grid));
 
-  const auto results = bench::run_sweep_timed(sweep, &executor);
+  const auto results = bench::run_sweep_timed(sweep, executor);
 
   TablePrinter table({"clean-phase gap", "|Pi0|", "terminated",
                       "mean decision round", "max"},

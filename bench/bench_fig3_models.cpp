@@ -44,6 +44,7 @@ struct AlgorithmRow {
 void run() {
   banner("Figure 3 — corruption models vs algorithms",
          "Biely et al., PODC'07, Fig. 3 and Sec. 5.2");
+  Executor executor = bench::make_bench_executor();
 
   const int n = 9;
   const int f = 2;  // fault degree used across all models (< n/4)
@@ -125,7 +126,7 @@ void run() {
                    std::hash<std::string>{}(model.name));
       const auto result = bench::run_campaign_timed(
           bench::random_values_of(algorithm.n), algorithm.instance,
-          algorithm.with_liveness(model.build), config);
+          algorithm.with_liveness(model.build), config, executor);
       std::string cell = result.safety_clean() ? "safe" : "UNSAFE";
       cell += result.terminated == result.runs ? "+live" : "";
       cell += " (" +

@@ -19,6 +19,7 @@ using bench::verdict;
 void run() {
   banner("Lamport's bound N > 2Q + F + 2M, attained",
          "Biely et al., PODC'07, Sec. 5.1 (vs. Lamport [11])");
+  Executor executor = bench::make_bench_executor();
 
   TablePrinter table({"algorithm", "N", "M (safety)", "Q (fast)", "F (live)",
                       "2Q+F+2M", "bound", "safety verified", "fast verified"},
@@ -41,7 +42,7 @@ void run() {
       config.base_seed = derived_seed(0x1A3, static_cast<std::uint64_t>(n));
       const auto result = bench::run_campaign_timed(
           bench::random_values_of(n), bench::utea_instance_builder(params),
-          bench::usafe_builder(params), config);
+          bench::usafe_builder(params), config, executor);
       const int rhs = 2 * m;  // Q = F = 0
       table.add_row({params.to_string(), std::to_string(n), std::to_string(m),
                      "0", "0", std::to_string(rhs),
@@ -63,7 +64,7 @@ void run() {
       config.base_seed = derived_seed(0x1A4, static_cast<std::uint64_t>(n));
       const auto safety = bench::run_campaign_timed(
           bench::random_values_of(n), bench::ate_instance_builder(params),
-          bench::corruption_builder(m), config);
+          bench::corruption_builder(m), config, executor);
 
       // Fast: the fault-free run decides in <= 2 rounds from any start.
       Simulator fast(make_ate_instance(params, split_values(n, 1, 9)),

@@ -18,7 +18,7 @@ using bench::latency_cell;
 using bench::ratio;
 using bench::verdict;
 
-void fast_path_table() {
+void fast_path_table(Executor& executor) {
   TablePrinter table({"n", "alpha = (n-1)/4", "MA static bound f (n>5f)",
                       "unanimous: decision round", "split: decision round",
                       "agreement"},
@@ -49,7 +49,7 @@ void fast_path_table() {
     config.base_seed = derived_seed(0x3A, static_cast<std::uint64_t>(n));
     const auto hostile = bench::run_campaign_timed(
         bench::random_values_of(n), bench::ate_instance_builder(params),
-        bench::corruption_builder(alpha), config);
+        bench::corruption_builder(alpha), config, executor);
 
     table.add_row(
         {std::to_string(n), std::to_string(alpha), std::to_string(ma_f),
@@ -125,7 +125,8 @@ void latency_vs_phase_king() {
 void run() {
   banner("Martin–Alvisi circumvention — fast consensus under per-round faults",
          "Biely et al., PODC'07, Sec. 5.1 (vs. Martin & Alvisi [16])");
-  fast_path_table();
+  Executor executor = bench::make_bench_executor();
+  fast_path_table(executor);
   clean_round_needed_for_decision();
   latency_vs_phase_king();
   std::cout

@@ -22,7 +22,6 @@
 #include "runtime/serialization.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/simulator.hpp"
@@ -31,38 +30,38 @@
 namespace hoval {
 namespace {
 
-/// The fixed campaign used for engine-throughput measurements: hostile
+/// The fixed campaign used for executor-throughput measurements: hostile
 /// enough to be representative, horizon-bound so every run costs the same.
-CampaignConfig throughput_config(int runs, int threads) {
+CampaignConfig throughput_config(int runs) {
   CampaignConfig config;
   config.runs = runs;
-  config.threads = threads;
   config.sim.max_rounds = 30;
   config.sim.stop_when_all_decided = false;
   config.base_seed = 0xBE7C;
   return config;
 }
 
-CampaignResult run_throughput_campaign(const CampaignConfig& config) {
+CampaignResult run_throughput_campaign(int runs, Executor& executor) {
   const int n = 16;
   const int alpha = 3;
   RandomCorruptionConfig corruption;
   corruption.alpha = alpha;
-  return CampaignEngine(config).run(
-      [n](Rng& rng) { return random_values(n, 3, rng); },
-      [n, alpha](const std::vector<Value>& init) {
-        return make_ate_instance(AteParams::canonical(n, alpha), init);
-      },
-      [corruption] {
-        return std::make_shared<RandomCorruptionAdversary>(corruption);
-      });
+  return executor
+      .submit([n](Rng& rng) { return random_values(n, 3, rng); },
+              [n, alpha](const std::vector<Value>& init) {
+                return make_ate_instance(AteParams::canonical(n, alpha), init);
+              },
+              [corruption] {
+                return std::make_shared<RandomCorruptionAdversary>(corruption);
+              },
+              throughput_config(runs))
+      .take();
 }
 
 void BM_CampaignThroughput(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
+  Executor executor(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const auto result =
-        run_throughput_campaign(throughput_config(/*runs=*/64, threads));
+    const auto result = run_throughput_campaign(/*runs=*/64, executor);
     benchmark::DoNotOptimize(result.terminated);
   }
   state.SetItemsProcessed(state.iterations() * 64);
@@ -188,10 +187,10 @@ void BM_RngSample(benchmark::State& state) {
 }
 BENCHMARK(BM_RngSample);
 
-/// Times one campaign at the given thread count and returns runs/sec.
-double measured_runs_per_sec(int runs, int threads, int* executed) {
+/// Times one campaign on `executor` and returns runs/sec.
+double measured_runs_per_sec(int runs, Executor& executor, int* executed) {
   const auto start = std::chrono::steady_clock::now();
-  const auto result = run_throughput_campaign(throughput_config(runs, threads));
+  const auto result = run_throughput_campaign(runs, executor);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -228,10 +227,9 @@ SweepSpec scheduling_sweep() {
 double measured_sweep_seconds(bool overlap_points) {
   Executor executor(0);
   SweepOptions options;
-  options.executor = &executor;
   options.overlap_points = overlap_points;
   const auto start = std::chrono::steady_clock::now();
-  const auto results = run_sweep(scheduling_sweep(), options);
+  const auto results = run_sweep(scheduling_sweep(), executor, options);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -307,7 +305,8 @@ void write_campaign_throughput_json() {
   const unsigned hardware = std::thread::hardware_concurrency();
   const bool threaded_comparison_valid = hardware >= 2;
   int executed = 0;
-  const double serial = measured_runs_per_sec(runs, 1, &executed);
+  Executor serial_executor(1);
+  const double serial = measured_runs_per_sec(runs, serial_executor, &executed);
 
   // Whole-sweep scheduling on the persistent Executor: the same 8-point
   // sweep run point-after-point versus submitted all at once on one pool.
@@ -360,7 +359,9 @@ void write_campaign_throughput_json() {
       << "  \"threaded_comparison_valid\": "
       << (threaded_comparison_valid ? "true" : "false") << ",\n";
   if (threaded_comparison_valid) {
-    const double threaded = measured_runs_per_sec(runs, 8, &executed);
+    Executor threaded_executor(8);
+    const double threaded =
+        measured_runs_per_sec(runs, threaded_executor, &executed);
     const double speedup = serial > 0.0 ? threaded / serial : 0.0;
     out << "  \"threads\": 8,\n"
         << "  \"threaded_runs_per_sec\": " << threaded << ",\n"

@@ -32,13 +32,14 @@ ScenarioSpec base_scenario(const AteParams& params) {
 
 /// Empirically validates one parameter choice; returns true when safety
 /// held in every run and termination was reached in every good-round run.
-bool validate(const AteParams& params, std::uint64_t seed) {
+bool validate(const AteParams& params, std::uint64_t seed,
+              Executor& executor) {
   ScenarioSpec safety = base_scenario(params);
   safety.campaign.runs = 60;
   safety.campaign.rounds = 25;
   safety.campaign.stop_when_all_decided = false;
   safety.campaign.seed = seed;
-  const auto unsafe_result = bench::run_scenario_timed(safety);
+  const auto unsafe_result = bench::run_scenario_timed(safety, executor);
   if (!unsafe_result.safety_clean()) return false;
 
   ScenarioSpec live = base_scenario(params);
@@ -46,11 +47,11 @@ bool validate(const AteParams& params, std::uint64_t seed) {
   live.campaign.runs = 40;
   live.campaign.rounds = 40;
   live.campaign.seed = derived_seed(seed, 1);
-  const auto live_result = bench::run_scenario_timed(live);
+  const auto live_result = bench::run_scenario_timed(live, executor);
   return live_result.safety_clean() && live_result.terminated == live_result.runs;
 }
 
-void run() {
+void run(Executor& executor) {
   banner("Resilience of A_{T,E} — the alpha < n/4 crossover",
          "Biely et al., PODC'07, Sec. 3.3 (inequalities (4)-(6), Prop. 4)");
 
@@ -85,8 +86,11 @@ void run() {
 
       bool empirical = false;
       if (feasible)
-        empirical = validate(chosen, mix_seed(static_cast<std::uint64_t>(n),
-                                              static_cast<std::uint64_t>(alpha)));
+        empirical = validate(
+            chosen,
+            mix_seed(static_cast<std::uint64_t>(n),
+                     static_cast<std::uint64_t>(alpha)),
+            executor);
       csv.add_row({std::to_string(n), std::to_string(alpha),
                    std::to_string(feasible), std::to_string(empirical)});
       if (feasible && empirical) {
@@ -120,7 +124,7 @@ void run() {
 /// refined sweep (src/refine/) subdivides only where adjacent points'
 /// Wilson intervals of the termination rate disagree — so the runs
 /// concentrate on the collapse of the curve, not its plateaus.
-void refined_omission_threshold() {
+void refined_omission_threshold(Executor& executor) {
   banner("Adaptive refinement — where A_{T,E}'s termination collapses "
          "under omission",
          "src/refine on the Sec. 3.3 canonical instantiation (n=16, alpha=3)");
@@ -140,7 +144,8 @@ void refined_omission_threshold() {
   sweep.refine.max_points = 24;
   sweep.refine.monitor.kind = MonitorSelector::Kind::kTermination;
 
-  const RefinedSweepResult refined = bench::run_refined_sweep_timed(sweep);
+  const RefinedSweepResult refined =
+      bench::run_refined_sweep_timed(sweep, executor);
 
   TablePrinter table({"drop probability", "generation", "terminated"},
                      {Align::kRight, Align::kRight, Align::kRight});
@@ -170,7 +175,8 @@ void refined_omission_threshold() {
 
 int main() {
   hoval::bench::BenchRecorder recorder("resilience_ate");
-  hoval::run();
-  hoval::refined_omission_threshold();
+  hoval::Executor executor = hoval::bench::make_bench_executor();
+  hoval::run(executor);
+  hoval::refined_omission_threshold(executor);
   return 0;
 }

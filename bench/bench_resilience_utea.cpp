@@ -40,7 +40,7 @@ SweepSpec clamped_sweep(const std::vector<GridPoint>& grid,
   return sweep;
 }
 
-void run() {
+void run(Executor& executor) {
   banner("Resilience of U_{T,E,alpha} — the alpha < n/2 crossover",
          "Biely et al., PODC'07, Sec. 4.3 (inequalities (9)-(11))");
 
@@ -54,17 +54,15 @@ void run() {
                                static_cast<std::uint64_t>(alpha), 99)});
     }
 
-  // Both sweeps share one persistent pool: the safety grid's early
+  // Both sweeps share the binary's pool: the safety grid's early
   // finishers feed workers straight into the liveness grid's points.
-  Executor executor = bench::make_bench_executor();
-
   // Safety: worst-case clamped corruption on every round, no termination
   // aid, long enough to surface an agreement split if one exists.
   SweepSpec safety = clamped_sweep(grid, 0);
   safety.base.campaign.runs = 60;
   safety.base.campaign.rounds = 30;
   safety.base.campaign.stop_when_all_decided = false;
-  const auto safety_results = bench::run_sweep_timed(safety, &executor);
+  const auto safety_results = bench::run_sweep_timed(safety, executor);
 
   // Liveness: the same adversary with P^{U,live} clean phases every 3.
   SweepSpec live = clamped_sweep(grid, 1);
@@ -72,7 +70,7 @@ void run() {
       component("clean-phases", {{"period", 3}}));
   live.base.campaign.runs = 40;
   live.base.campaign.rounds = 60;
-  const auto live_results = bench::run_sweep_timed(live, &executor);
+  const auto live_results = bench::run_sweep_timed(live, executor);
 
   TablePrinter table({"n", "paper bound ceil(n/2)-1", "measured max alpha",
                       "A's wall ceil(n/4)-1", "U beats A by"},
@@ -128,7 +126,7 @@ void run() {
 /// cliff at zero: any omission breaks the permanent SHO bound termination
 /// needs; alpha = 2 leaves slack, so the collapse sits mid-axis and the
 /// driver has a real threshold to hunt.)
-void refined_omission_threshold() {
+void refined_omission_threshold(Executor& executor) {
   banner("Adaptive refinement — where U_{T,E,alpha}'s termination "
          "collapses under omission",
          "src/refine on the Sec. 4.3 instantiation U(n=12, alpha=2)");
@@ -149,7 +147,8 @@ void refined_omission_threshold() {
   sweep.refine.max_points = 24;
   sweep.refine.monitor.kind = MonitorSelector::Kind::kTermination;
 
-  const RefinedSweepResult refined = bench::run_refined_sweep_timed(sweep);
+  const RefinedSweepResult refined =
+      bench::run_refined_sweep_timed(sweep, executor);
 
   TablePrinter table({"drop probability", "generation", "terminated"},
                      {Align::kRight, Align::kRight, Align::kRight});
@@ -178,7 +177,8 @@ void refined_omission_threshold() {
 
 int main() {
   hoval::bench::BenchRecorder recorder("resilience_utea");
-  hoval::run();
-  hoval::refined_omission_threshold();
+  hoval::Executor executor = hoval::bench::make_bench_executor();
+  hoval::run(executor);
+  hoval::refined_omission_threshold(executor);
   return 0;
 }

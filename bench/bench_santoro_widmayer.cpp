@@ -30,7 +30,7 @@ using bench::latency_cell;
 using bench::ratio;
 using bench::verdict;
 
-void part_a_literal_pattern() {
+void part_a_literal_pattern(Executor& executor) {
   std::cout << "--- (a) literal SW block faults: floor(n/2) hits per round ---\n";
   TablePrinter table({"n", "mode", "faults/round", "agreement", "integrity",
                       "terminated", "decision round"},
@@ -51,7 +51,7 @@ void part_a_literal_pattern() {
             block.rotate = true;
             return std::make_shared<BlockFaultAdversary>(block);
           },
-          config);
+          config, executor);
       table.add_row({std::to_string(n),
                      mode == BlockFaultMode::kCorrupt ? "corrupt" : "omit",
                      std::to_string(n / 2),
@@ -207,7 +207,8 @@ void part_c_fault_volume() {
 void run() {
   banner("Santoro–Widmayer circumvention",
          "Biely et al., PODC'07, Sec. 5.1 (vs. Santoro & Widmayer [18])");
-  part_a_literal_pattern();
+  Executor executor = bench::make_bench_executor();
+  part_a_literal_pattern(executor);
   part_b_adaptive_stall();
   part_c_fault_volume();
   std::cout

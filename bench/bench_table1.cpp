@@ -29,7 +29,7 @@ struct RowResult {
   int live_pred_holds = 0;
 };
 
-RowResult run_ate_row(int n, int alpha) {
+RowResult run_ate_row(int n, int alpha, Executor& executor) {
   const auto params = AteParams::canonical(n, alpha);
   RowResult row;
   row.algorithm = params.to_string();
@@ -49,7 +49,7 @@ RowResult run_ate_row(int n, int alpha) {
   safety.campaign.rounds = 40;
   safety.campaign.stop_when_all_decided = false;
   safety.campaign.seed = 1001;
-  row.safety_campaign = bench::run_scenario_timed(safety);
+  row.safety_campaign = bench::run_scenario_timed(safety, executor);
   row.safety_pred_holds = row.safety_campaign.predicate_holds[0];
 
   ScenarioSpec live = safety;
@@ -57,12 +57,12 @@ RowResult run_ate_row(int n, int alpha) {
   live.predicates = {component("p-a-live")};
   live.campaign.rounds = 60;
   live.campaign.seed = 1002;
-  row.liveness_campaign = bench::run_scenario_timed(live);
+  row.liveness_campaign = bench::run_scenario_timed(live, executor);
   row.live_pred_holds = row.liveness_campaign.predicate_holds[0];
   return row;
 }
 
-RowResult run_utea_row(int n, int alpha) {
+RowResult run_utea_row(int n, int alpha, Executor& executor) {
   const auto params = UteaParams::canonical(n, alpha);
   const PUSafe usafe(n, params.threshold_t, params.threshold_e, alpha);
   RowResult row;
@@ -82,7 +82,7 @@ RowResult run_utea_row(int n, int alpha) {
   safety.campaign.rounds = 40;
   safety.campaign.stop_when_all_decided = false;
   safety.campaign.seed = 2001;
-  row.safety_campaign = bench::run_scenario_timed(safety);
+  row.safety_campaign = bench::run_scenario_timed(safety, executor);
   row.safety_pred_holds = std::min(row.safety_campaign.predicate_holds[0],
                                    row.safety_campaign.predicate_holds[1]);
 
@@ -91,7 +91,7 @@ RowResult run_utea_row(int n, int alpha) {
   live.predicates = {component("p-u-live")};
   live.campaign.rounds = 80;
   live.campaign.seed = 2002;
-  row.liveness_campaign = bench::run_scenario_timed(live);
+  row.liveness_campaign = bench::run_scenario_timed(live, executor);
   row.live_pred_holds = row.liveness_campaign.predicate_holds[0];
   return row;
 }
@@ -117,7 +117,7 @@ void print_rows(const std::vector<RowResult>& rows) {
   table.print(std::cout);
 }
 
-void negative_section() {
+void negative_section(Executor& executor) {
   std::cout << "\nCondition-violating choices (the table's conditions are "
                "tight in shape):\n";
   TablePrinter table({"algorithm", "violated condition", "adversary",
@@ -137,7 +137,7 @@ void negative_section() {
     spec.campaign.runs = 100;
     spec.campaign.rounds = 10;
     spec.campaign.seed = 3001;
-    const auto result = bench::run_scenario_timed(spec);
+    const auto result = bench::run_scenario_timed(spec, executor);
     table.add_row({bad.to_string(), "E < n/2 + alpha", "split-vote",
                    ratio(result.agreement_violations, result.runs),
                    ratio(result.integrity_violations, result.runs)});
@@ -157,7 +157,7 @@ void negative_section() {
     spec.campaign.runs = 100;
     spec.campaign.rounds = 10;
     spec.campaign.seed = 3002;
-    const auto undercut = bench::run_scenario_timed(spec);
+    const auto undercut = bench::run_scenario_timed(spec, executor);
     table.add_row({bad.to_string(), "E < alpha", "undercut-poison",
                    ratio(undercut.agreement_violations, undercut.runs),
                    ratio(undercut.integrity_violations, undercut.runs)});
@@ -175,7 +175,7 @@ void negative_section() {
     spec.campaign.runs = 100;
     spec.campaign.rounds = 10;
     spec.campaign.seed = 3003;
-    const auto result = bench::run_scenario_timed(spec);
+    const auto result = bench::run_scenario_timed(spec, executor);
     table.add_row({bad.to_string(), "T < n/2 + alpha (and E)", "split-vote",
                    ratio(result.agreement_violations, result.runs),
                    ratio(result.integrity_violations, result.runs)});
@@ -188,11 +188,12 @@ void run() {
          "Biely et al., PODC'07, Table 1 (conditions, safety and liveness "
          "predicates of A_{T,E} and U_{T,E,alpha})");
 
+  Executor executor = bench::make_bench_executor();
   std::vector<RowResult> rows;
-  rows.push_back(run_ate_row(16, 3));
-  rows.push_back(run_ate_row(9, 2));
-  rows.push_back(run_utea_row(16, 7));
-  rows.push_back(run_utea_row(9, 4));
+  rows.push_back(run_ate_row(16, 3, executor));
+  rows.push_back(run_ate_row(9, 2, executor));
+  rows.push_back(run_utea_row(16, 7, executor));
+  rows.push_back(run_utea_row(9, 4, executor));
   print_rows(rows);
 
   CsvWriter csv("bench_table1.csv",
@@ -208,7 +209,7 @@ void run() {
                      ? "-"
                      : format_double(row.liveness_campaign.last_decision_rounds.mean(), 2)});
 
-  negative_section();
+  negative_section(executor);
   std::cout << "\n[csv] bench_table1.csv written\n";
 }
 

@@ -11,9 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "adversary/adversary.hpp"
@@ -26,7 +24,6 @@
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "sim/campaign.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "stats/descriptive.hpp"
@@ -36,8 +33,8 @@
 
 namespace hoval::bench {
 
-/// Bench-wide campaign thread knob: HOVAL_BENCH_THREADS overrides
-/// (0 = one worker per hardware thread), default 0.
+/// Bench-wide pool size: HOVAL_BENCH_THREADS overrides (0 = one worker per
+/// hardware thread), default 0.
 inline int campaign_threads() {
   if (const char* env = std::getenv("HOVAL_BENCH_THREADS")) {
     const int parsed = std::atoi(env);
@@ -72,7 +69,6 @@ class BenchRecorder {
     campaign_runs_requested_ +=
         result.runs_requested > 0 ? result.runs_requested : result.runs;
     campaign_seconds_ += seconds;
-    // Small campaigns get clamped pools; report the widest pool used.
     if (threads > threads_) threads_ = threads;
     if (result.ci_confidence > 0.0) {
       ++adaptive_campaigns_;
@@ -154,80 +150,52 @@ class BenchRecorder {
   int threads_ = 1;
 };
 
-/// A pool sized by the shared thread knob, for bench binaries that run
-/// several campaigns or sweeps: construct one at the top of run() and
-/// pass it to the *_timed entry points so every figure shares a single
-/// pool lifecycle instead of rebuilding workers per campaign.
+/// The one pool of a bench binary, sized by the shared thread knob:
+/// construct it at the top of run() and pass it to every *_timed entry
+/// point, so all of the binary's figures share one pool lifecycle.
 inline Executor make_bench_executor() { return Executor(campaign_threads()); }
 
-/// Campaign entry point for bench drivers: applies the shared thread knob
-/// and accounts wall time into the active BenchRecorder.  With a shared
-/// `executor` the campaign is submitted to that persistent pool (the
-/// result is bit-identical — campaigns do not depend on the pool that ran
-/// them); without one it pays the classic one-shot engine pool.
+/// Campaign entry point for bench drivers: submits to `executor` and
+/// accounts wall time into the active BenchRecorder.
 inline CampaignResult run_campaign_timed(const ValueGenerator& values,
                                          const InstanceBuilder& instance,
                                          const AdversaryBuilder& adversary,
                                          CampaignConfig config,
-                                         Executor* executor = nullptr) {
-  config.threads = campaign_threads();
-  CampaignResult result;
-  int threads = 0;
-  double seconds = 0.0;
-  if (executor != nullptr) {
-    const auto start = std::chrono::steady_clock::now();
-    result = executor->submit(values, instance, adversary, std::move(config))
-                 .take();
-    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-    threads = executor->threads();
-  } else {
-    const CampaignEngine engine(config);
-    const auto start = std::chrono::steady_clock::now();
-    result = engine.run(values, instance, adversary);
-    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-    threads = engine.threads();
-  }
+                                         Executor& executor) {
+  const auto start = std::chrono::steady_clock::now();
+  CampaignResult result =
+      executor.submit(values, instance, adversary, std::move(config)).take();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   if (BenchRecorder::active())
-    BenchRecorder::active()->note_campaign(result, seconds, threads);
+    BenchRecorder::active()->note_campaign(result, seconds,
+                                           executor.threads());
   return result;
 }
 
 /// Campaign entry point for declarative bench drivers: runs a ScenarioSpec
-/// through the registry-resolved path (scenario/run.hpp) on the shared
-/// thread knob, accounting wall time into the active BenchRecorder.  The
-/// result is bit-identical to run_campaign_timed with equivalent
-/// hand-built builders.
+/// through the registry-resolved path (scenario/run.hpp), accounting wall
+/// time into the active BenchRecorder.  The result is bit-identical to
+/// run_campaign_timed with equivalent hand-built builders.
 inline CampaignResult run_scenario_timed(const ScenarioSpec& spec,
-                                         Executor* executor = nullptr) {
-  const ResolvedScenario resolved = resolve_scenario(spec);
+                                         Executor& executor) {
+  ResolvedScenario resolved = resolve_scenario(spec);
   return run_campaign_timed(resolved.values, resolved.instance,
-                            resolved.adversary, resolved.config, executor);
+                            resolved.adversary, std::move(resolved.config),
+                            executor);
 }
 
 /// Sweep entry point for declarative bench drivers: expands and resolves
 /// *every* grid point up front (an infeasible substitution fails before
-/// the first campaign starts), then submits the whole sweep to one pool —
-/// `executor` when given, else a pool owned for the sweep — so points
-/// overlap and adaptive early-stoppers hand their workers to the slower
-/// points.  One CampaignResult per point, in expand() order, bit-identical
-/// to running the points one at a time.
+/// the first campaign starts), then submits the whole sweep to `executor`
+/// so points overlap and adaptive early-stoppers hand their workers to the
+/// slower points.  One CampaignResult per point, in expand() order,
+/// bit-identical to running the points one at a time.
 inline std::vector<CampaignResult> run_sweep_timed(const SweepSpec& sweep,
-                                                   Executor* executor =
-                                                       nullptr) {
-  std::optional<Executor> owned;
-  if (executor == nullptr) {
-    owned.emplace(campaign_threads());
-    executor = &*owned;
-  }
-  SweepOptions options;
-  options.executor = executor;  // overlapping points, run_sweep's default
-
+                                                   Executor& executor) {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<CampaignResult> results = run_sweep(sweep, options);
+  const std::vector<CampaignResult> results = run_sweep(sweep, executor);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -238,24 +206,18 @@ inline std::vector<CampaignResult> run_sweep_timed(const SweepSpec& sweep,
     for (const CampaignResult& result : results)
       BenchRecorder::active()->note_campaign(
           result, seconds / static_cast<double>(results.size()),
-          executor->threads());
+          executor.threads());
   return results;
 }
 
 /// Refined-sweep entry point for declarative bench drivers: drives
-/// src/refine's adaptive subdivision on the shared thread knob (the result
-/// is bit-identical for any pool — see refine/driver.hpp's determinism
+/// src/refine's adaptive subdivision on `executor` (the result is
+/// bit-identical for any pool — see refine/driver.hpp's determinism
 /// contract) and accounts the savings into the active BenchRecorder.
 inline RefinedSweepResult run_refined_sweep_timed(const SweepSpec& sweep,
-                                                  Executor* executor =
-                                                      nullptr) {
-  std::optional<Executor> owned;
-  if (executor == nullptr) {
-    owned.emplace(campaign_threads());
-    executor = &*owned;
-  }
+                                                  Executor& executor) {
   const auto start = std::chrono::steady_clock::now();
-  RefinedSweepResult refined = run_refined_sweep(sweep, executor);
+  RefinedSweepResult refined = run_refined_sweep(sweep, &executor);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -18,7 +18,7 @@
 #include "core/factories.hpp"
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
-#include "sim/engine.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/properties.hpp"
 #include "sim/simulator.hpp"
@@ -87,26 +87,29 @@ int main() {
     faults += result.trace.alteration_count(r);
   std::cout << "corrupted transmissions absorbed: " << faults << "\n";
 
-  // 6. One run is an anecdote; campaigns are the evidence.  CampaignEngine
-  //    shards runs across worker threads (threads = 0 -> all cores) while
-  //    deriving every run's seeds from the run index, so the aggregate is
-  //    bit-identical at any thread count.
+  // 6. One run is an anecdote; campaigns are the evidence.  An Executor
+  //    is a worker pool (0 -> one worker per core); submit() shards a
+  //    campaign's runs across it while deriving every run's seeds from the
+  //    run index, so the aggregate is bit-identical at any pool size.
   CampaignConfig campaign;
   campaign.runs = 500;
   campaign.sim.max_rounds = 50;
   campaign.base_seed = 2024;
-  campaign.threads = 0;
-  const CampaignEngine engine(campaign);
-  const CampaignResult stats = engine.run(
-      [](Rng& rng) { return random_values(9, 3, rng); },
-      [params](const std::vector<Value>& init) {
-        return make_ate_instance(params, init);
-      },
-      [&corruption, &good] {
-        return std::make_shared<GoodRoundScheduler>(
-            std::make_shared<RandomCorruptionAdversary>(corruption), good);
-      });
-  std::cout << "\ncampaign (" << engine.threads()
+  Executor executor(0);
+  const CampaignResult stats =
+      executor
+          .submit([](Rng& rng) { return random_values(9, 3, rng); },
+                  [params](const std::vector<Value>& init) {
+                    return make_ate_instance(params, init);
+                  },
+                  [&corruption, &good] {
+                    return std::make_shared<GoodRoundScheduler>(
+                        std::make_shared<RandomCorruptionAdversary>(corruption),
+                        good);
+                  },
+                  campaign)
+          .take();
+  std::cout << "\ncampaign (" << executor.threads()
             << " threads): " << stats.summary() << "\n";
 
   return report.all_hold() && stats.safety_clean() ? 0 : 1;

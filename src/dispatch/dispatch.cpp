@@ -51,6 +51,13 @@ class Dispatcher {
  public:
   Dispatcher(const SweepSpec& sweep, const DispatchOptions& options)
       : options_(options) {
+    // Workers run fixed points; refinement needs the generation loop of
+    // refine/driver.hpp, which this host does not drive.  Running only the
+    // coarse grid would silently answer a different question.
+    if (sweep.refine.enabled)
+      throw DispatchError(
+          "refined sweeps (refine.enabled) cannot be dispatched; run them "
+          "with hoval_cli --sweep, or hoval_cli --connect to a hovald");
     if (options_.workers < 1)
       throw DispatchError("workers must be >= 1");
     if (options_.worker_threads < 0)

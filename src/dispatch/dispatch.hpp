@@ -125,9 +125,10 @@ struct DispatchReport {
 
 /// Expands and validates the sweep (every point resolves against the
 /// registries before any worker spawns, exactly like run_sweep), then
-/// shards the points over worker processes.  \throws DispatchError on
-/// invalid options or process-setup failure, ScenarioError on an invalid
-/// sweep; worker failures are handled, not thrown.
+/// shards the points over worker processes.  \throws DispatchError on a
+/// refined sweep (refine.enabled), invalid options or process-setup
+/// failure, ScenarioError on an invalid sweep; worker failures are
+/// handled, not thrown.
 DispatchReport dispatch_sweep(const SweepSpec& sweep,
                               const DispatchOptions& options);
 

@@ -76,7 +76,6 @@
 #include "service/server.hpp"
 #include "service/socket.hpp"
 #include "sim/campaign.hpp"
-#include "sim/engine.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "sim/machine.hpp"

@@ -5,7 +5,6 @@
 #include <initializer_list>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "predicates/predicate.hpp"
@@ -13,6 +12,7 @@
 #include "scenario/run.hpp"
 #include "sim/result_json.hpp"
 #include "stats/interval.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hoval {
@@ -538,11 +538,8 @@ bool RefinementDriver::take_dirty() noexcept {
 RefinedSweepResult run_refined_sweep(const SweepSpec& sweep,
                                      Executor* executor,
                                      RefineDriverOptions options) {
-  std::optional<Executor> owned;
-  if (executor == nullptr) {
-    owned.emplace(sweep.base.campaign.threads);
-    executor = &*owned;
-  }
+  HOVAL_EXPECTS_MSG(executor != nullptr,
+                    "run_refined_sweep needs an executor");
   RefinementDriver driver(sweep, *executor, std::move(options));
   while (!driver.pump()) driver.wait_current();
   return driver.take();

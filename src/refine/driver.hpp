@@ -210,11 +210,11 @@ class RefinementDriver {
   RefinedSweepResult result_;
 };
 
-/// Blocking wrapper: drives a RefinementDriver to completion.  With a
-/// null executor, owns a pool sized from the sweep's campaign.threads for
-/// the duration.  \throws RefineError / ScenarioError as the driver.
+/// Blocking wrapper: drives a RefinementDriver on `executor` to
+/// completion.  \throws PreconditionError on a null executor, and
+/// RefineError / ScenarioError as the driver.
 RefinedSweepResult run_refined_sweep(const SweepSpec& sweep,
-                                     Executor* executor = nullptr,
+                                     Executor* executor,
                                      RefineDriverOptions options = {});
 
 }  // namespace hoval

@@ -1,10 +1,8 @@
 #include "scenario/run.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "adversary/adversary.hpp"
@@ -13,8 +11,9 @@ namespace hoval {
 
 namespace {
 
-/// Mirrors the CampaignEngine preconditions so an infeasible spec (or
-/// sweep substitution) fails at resolve time, before any campaign starts.
+/// Mirrors Executor::submit's preconditions (plus the spec-only knobs) so
+/// an infeasible spec, or sweep substitution, fails at resolve time as a
+/// ScenarioError, before any campaign starts.
 void validate_knobs(const CampaignKnobs& knobs) {
   if (knobs.runs <= 0)
     throw ScenarioError("campaign.runs must be >= 1");
@@ -72,18 +71,6 @@ struct SweepCancelState {
     handles.clear();
   }
 };
-
-/// Folds one point's thread request into the pool size for a sweep-owned
-/// executor: hardware concurrency as soon as any point asks for it
-/// (threads = 0), else the widest explicit request — so a sweep of
-/// threads = 1 points runs on a single worker and builders with shared
-/// mutable state stay safe.
-void fold_pool_threads(int point_threads, int& pool_threads) {
-  if (point_threads == 0)
-    pool_threads = 0;
-  else if (pool_threads != 0)
-    pool_threads = std::max(pool_threads, point_threads);
-}
 
 /// A point skipped outright by whole-sweep cancellation: zero executed
 /// runs, cancelled, shaped like a real result (requested budget and
@@ -161,18 +148,11 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   resolved.config.sim.max_rounds = spec.campaign.rounds;
   resolved.config.sim.stop_when_all_decided = spec.campaign.stop_when_all_decided;
   resolved.config.base_seed = spec.campaign.seed;
-  resolved.config.threads = spec.campaign.threads;
   resolved.config.max_recorded_violations = spec.campaign.max_recorded_violations;
   resolved.config.batch_size = spec.campaign.batch_size;
   resolved.config.adaptive = spec.campaign.adaptive;
   resolved.config.keep_traces = spec.campaign.keep_traces;
   return resolved;
-}
-
-CampaignResult run_scenario(const ScenarioSpec& spec) {
-  const ResolvedScenario resolved = resolve_scenario(spec);
-  return run_campaign(resolved.values, resolved.instance, resolved.adversary,
-                      resolved.config);
 }
 
 CampaignResult run_scenario(const ScenarioSpec& spec, Executor& executor) {
@@ -184,27 +164,16 @@ CampaignResult run_scenario(const ScenarioSpec& spec, Executor& executor) {
 }
 
 std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
+                                      Executor& executor,
                                       const SweepOptions& options) {
   // Validation pass: expand and resolve one grid point at a time
   // (SweepSpec::expand_point), so an infeasible substitution or bad
   // parameter still fails before any campaign starts — but without
-  // holding O(points) specs or builders alive for huge grids.  Pool
-  // sizing for an owned executor falls out of the same pass.
+  // holding O(points) specs or builders alive for huge grids.
   const std::size_t count = sweep.point_count();
   if (count == 0) sweep.expand();  // raises the precise empty-axis error
-  int pool_threads = 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    const ResolvedScenario point = resolve_scenario(sweep.expand_point(i));
-    fold_pool_threads(point.config.threads, pool_threads);
-  }
-
-  // One pool lifecycle for the whole sweep.
-  std::optional<Executor> owned;
-  Executor* executor = options.executor;
-  if (executor == nullptr && count > 0) {
-    owned.emplace(pool_threads);
-    executor = &*owned;
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    resolve_scenario(sweep.expand_point(i));
 
   const int total_points = static_cast<int>(count);
   auto cancel = std::make_shared<SweepCancelState>();
@@ -223,7 +192,7 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
             resolve_scenario(sweep.expand_point(static_cast<std::size_t>(i)));
         point.config.progress =
             wrap_point_progress(cancel, options.progress, i, total_points);
-        CampaignHandle handle = executor->submit(
+        CampaignHandle handle = executor.submit(
             std::move(point.values), std::move(point.instance),
             std::move(point.adversary), std::move(point.config));
         handles.push_back(handle);
@@ -240,7 +209,7 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
         }
         point.config.progress =
             wrap_point_progress(cancel, options.progress, i, total_points);
-        CampaignHandle handle = executor->submit(
+        CampaignHandle handle = executor.submit(
             std::move(point.values), std::move(point.instance),
             std::move(point.adversary), std::move(point.config));
         cancel->add(handle);
@@ -248,24 +217,14 @@ std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
       }
     }
   } catch (...) {
-    // A failing point aborts the sweep: cancel the rest so the pool (and
-    // an owned executor's destructor) drains quickly, then propagate.
+    // A failing point aborts the sweep: cancel the rest so the pool
+    // drains quickly, then propagate.
     cancel->cancel_all();
     cancel->release();
     throw;
   }
   cancel->release();
   return results;
-}
-
-std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const ProgressCallback& progress) {
-  SweepOptions options;
-  if (progress)
-    options.progress = [progress](const SweepProgress& point) {
-      return progress(CampaignProgress{point.completed, point.total});
-    };
-  return run_sweep(sweep, options);
 }
 
 }  // namespace hoval

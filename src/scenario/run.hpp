@@ -4,14 +4,13 @@
 /// The one build path from a declarative ScenarioSpec to an executed
 /// campaign.  resolve_scenario() turns a spec into exactly the builders
 /// and CampaignConfig a hand-written harness would have constructed, and
-/// run_scenario() executes them on the same Executor-backed path as
-/// run_campaign() — the result is bit-identical to the equivalent
-/// hand-rolled builders at any thread count.
+/// run_scenario() submits them to the caller's Executor — the result is
+/// bit-identical to the equivalent hand-rolled builders at any pool size.
 ///
-/// Sweeps execute on one persistent worker pool (sim/executor.hpp): every
-/// grid point is resolved up front, then submitted to a single Executor —
-/// by default all at once, so points overlap and an adaptive
-/// early-stopper's workers immediately pick up the slower points' runs.
+/// Sweeps execute on the caller's Executor too: every grid point is
+/// resolved up front, then submitted — by default all at once, so points
+/// overlap and an adaptive early-stopper's workers immediately pick up
+/// the slower points' runs.
 /// Because every point's campaign is bit-identical under any pool and any
 /// submission interleaving, overlapping changes wall time only, never a
 /// result.
@@ -29,8 +28,8 @@ namespace hoval {
 /// A scenario resolved against the registries: ready-to-run builders plus
 /// the CampaignConfig equivalent of the spec's campaign knobs.  Callers
 /// that need more than run_scenario() offers (progress hooks, single-run
-/// tracing, custom timing) resolve first and drive the engine — or an
-/// Executor — themselves.
+/// tracing, custom timing) resolve first and submit to an Executor
+/// themselves.
 struct ResolvedScenario {
   ValueGenerator values;
   InstanceBuilder instance;
@@ -45,13 +44,9 @@ struct ResolvedScenario {
 /// "did you mean" suggestion) or invalid params.
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
-/// resolve_scenario() + run_campaign().
-CampaignResult run_scenario(const ScenarioSpec& spec);
-
-/// resolve_scenario() + submit on a caller-supplied persistent Executor:
-/// shares the pool with every other submission instead of paying a pool
-/// lifecycle for this one campaign.  Bit-identical to run_scenario(spec);
-/// the spec's campaign.threads is ignored (the pool is already sized).
+/// resolve_scenario() + submit to `executor` + wait.  The spec's
+/// campaign.threads is not read here: the pool is already sized, and the
+/// result is identical at any size.
 CampaignResult run_scenario(const ScenarioSpec& spec, Executor& executor);
 
 /// Snapshot handed to a sweep progress callback: one point's campaign
@@ -66,18 +61,13 @@ struct SweepProgress {
 
 /// Invoked with the batching of CampaignConfig::progress_batch, per
 /// point; with overlapping points, callbacks for different points
-/// interleave (each point's stream is serialised, as the engine always
-/// did).  Returning false cancels the *whole sweep*: every in-flight
-/// point is cancelled and every not-yet-started point is skipped.
+/// interleave (each point's stream is serialised).  Returning false
+/// cancels the *whole sweep*: every in-flight point is cancelled and
+/// every not-yet-started point is skipped.
 using SweepProgressCallback = std::function<bool(const SweepProgress&)>;
 
 /// How run_sweep() executes the expanded grid.
 struct SweepOptions {
-  /// Pool to submit the points to; nullptr makes run_sweep() own one for
-  /// the duration of the sweep (sized from the points' campaign.threads:
-  /// hardware concurrency if any point asks for 0, else their maximum —
-  /// so a sweep of threads = 1 points stays effectively serial).
-  Executor* executor = nullptr;
   /// Submit every point up front so points overlap on the pool (the
   /// default), or wait for each point before submitting the next.
   /// Results are bit-identical either way; sequential trades the
@@ -89,17 +79,12 @@ struct SweepOptions {
 
 /// Expands the sweep and resolves *every* grid point before running any
 /// of them, so an infeasible substitution fails before the first campaign
-/// starts.  Executes the points per `options` on one pool and returns one
-/// CampaignResult per point, in expand() order.  Points skipped by a
+/// starts.  Executes the points per `options` on `executor` and returns
+/// one CampaignResult per point, in expand() order.  Points skipped by a
 /// whole-sweep cancellation come back as empty results with
 /// CampaignResult::cancelled set.
 std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const SweepOptions& options);
-
-/// Compatibility overload: default options (one pool, overlapping
-/// points), with `progress` attached to every point minus the point
-/// identity.  Returning false from the callback cancels the whole sweep.
-std::vector<CampaignResult> run_sweep(const SweepSpec& sweep,
-                                      const ProgressCallback& progress = {});
+                                      Executor& executor,
+                                      const SweepOptions& options = {});
 
 }  // namespace hoval

@@ -7,8 +7,8 @@
 /// evaluated on the trace — and ScenarioSpec captures that shape as
 /// *data*.  A spec round-trips losslessly through JSON, is resolved
 /// against the string-keyed registries (scenario/registry.hpp), and runs
-/// through run_scenario() (scenario/run.hpp) on the same CampaignEngine
-/// path as every hand-built campaign; the result is bit-identical to the
+/// through run_scenario() (scenario/run.hpp) on the same Executor as
+/// every hand-built campaign; the result is bit-identical to the
 /// equivalent hand-rolled builders.
 ///
 /// SweepSpec layers grid expansion on top: any scalar field of the spec
@@ -68,14 +68,16 @@ TraceRetention parse_trace_retention_or_throw(const std::string& text,
                                               const std::string& what);
 
 /// Campaign knobs of a scenario; mirrors the scalar fields of
-/// CampaignConfig / SimConfig (threads stays a knob so one spec file can
-/// serve serial repro runs and saturating sweeps alike).
+/// CampaignConfig / SimConfig.  `threads` is the exception: it sizes the
+/// Executor a front end builds to run the document (hoval_cli without
+/// --threads), never a campaign, so one spec file serves serial repro
+/// runs and saturating sweeps alike.
 struct CampaignKnobs {
   int runs = 100;
   Round rounds = 50;                 ///< per-run horizon (SimConfig::max_rounds)
   bool stop_when_all_decided = true;
   std::uint64_t seed = 0xC0FFEE;     ///< campaign base seed
-  int threads = 0;                   ///< 0 = hardware concurrency
+  int threads = 0;                   ///< CLI pool size; 0 = all cores
   int max_recorded_violations = 5;
   int batch_size = 0;                ///< runs claimed per pool task; 0 = auto
   /// Sequential confidence-interval stopping (stats/interval.hpp).

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "sim/engine.hpp"
-#include "sim/executor.hpp"
 #include "util/format.hpp"
 
 namespace hoval {
@@ -54,20 +52,6 @@ std::string CampaignResult::summary() const {
   }
   if (cancelled) os << " [cancelled]";
   return os.str();
-}
-
-CampaignResult run_campaign(const ValueGenerator& values,
-                            const InstanceBuilder& instance,
-                            const AdversaryBuilder& adversary,
-                            const CampaignConfig& config) {
-  return CampaignEngine(config).run(values, instance, adversary);
-}
-
-CampaignResult run_campaign(const ValueGenerator& values,
-                            const InstanceBuilder& instance,
-                            const AdversaryBuilder& adversary,
-                            const CampaignConfig& config, Executor& executor) {
-  return executor.submit(values, instance, adversary, config).take();
 }
 
 }  // namespace hoval

@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file campaign.hpp
-/// Monte-Carlo campaign driver: runs many independent simulations with
-/// derived seeds and aggregates consensus verdicts, decision latencies and
-/// predicate verdicts.  This is the engine behind every table/figure
-/// harness in bench/.
+/// Monte-Carlo campaign vocabulary: the builders, config and result of a
+/// campaign of independent simulations with derived seeds, aggregating
+/// consensus verdicts, decision latencies and predicate verdicts.
+/// Campaigns execute on an Executor (sim/executor.hpp), the one runner
+/// behind every front end, bench and test.
 
 #include <functional>
 #include <memory>
@@ -39,7 +40,7 @@ struct CampaignProgress {
 
 /// Invoked at most once per `progress_batch` completed runs (plus a final
 /// flush, unless cancelled) while a campaign executes; may be called from
-/// worker threads, serialised by the engine.  Return false to cancel the
+/// worker threads, serialised by the executor.  Return false to cancel the
 /// remaining runs — no further invocations follow a cancellation.
 using ProgressCallback = std::function<bool(const CampaignProgress&)>;
 
@@ -52,11 +53,6 @@ struct CampaignConfig {
   std::vector<std::shared_ptr<Predicate>> predicates;
   /// Keep at most this many violation descriptions for diagnostics.
   int max_recorded_violations = 5;
-  /// Worker threads sharding the runs.  0 = one per hardware thread; 1
-  /// reproduces the classic serial path.  Any value yields a bit-identical
-  /// CampaignResult: per-run seeds derive from the run index alone and the
-  /// reduction merges outcomes in run-index order.
-  int threads = 0;
   /// Optional batched progress/cancellation hook for long sweeps.
   ProgressCallback progress;
   /// Completed-run granularity of `progress` invocations.
@@ -68,17 +64,17 @@ struct CampaignConfig {
   /// campaign and pool), 1 = the classic one-run-per-task path.
   int batch_size = 0;
   /// Sequential confidence-interval stopping (stats/interval.hpp).  When
-  /// adaptive.enabled, the engine executes runs in deterministic waves and
-  /// stops at the first wave boundary where every monitored proportion
-  /// (agreement-violation rate, termination rate, each predicate's hold
-  /// rate) has a Wilson half-width <= adaptive.ci_epsilon — spending at
-  /// most adaptive.cap(runs) and at least min(adaptive.min_runs, cap)
-  /// runs.  Boundaries depend only on run outcomes, never on thread
+  /// adaptive.enabled, the executor runs the campaign in deterministic
+  /// waves and stops at the first wave boundary where every monitored
+  /// proportion (agreement-violation rate, termination rate, each
+  /// predicate's hold rate) has a Wilson half-width <= adaptive.ci_epsilon
+  /// — spending at most adaptive.cap(runs) and at least
+  /// min(adaptive.min_runs, cap) runs.  Boundaries depend only on run outcomes, never on thread
   /// timing, so adaptive campaigns stay bit-identical at any thread
   /// count.  Disabled (the default) reproduces the classic fixed budget.
   StoppingRule adaptive;
   /// Which runs' ground-truth traces to copy into CampaignResult::traces.
-  /// The default (kNone) keeps the hot path copy-free: the engine
+  /// The default (kNone) keeps the hot path copy-free: the executor
   /// evaluates predicates against the worker's workspace trace in place
   /// and nothing is deep-copied per run.  kViolations retains the traces
   /// of runs violating agreement/integrity/irrevocability; kAll retains
@@ -151,33 +147,5 @@ struct CampaignResult {
   /// One-line summary for harness output.
   std::string summary() const;
 };
-
-/// Runs the campaign on a CampaignEngine worker pool (see sim/engine.hpp).
-/// Each run gets seeds derived from (base_seed, index) for the initial
-/// values and the fault schedule independently, so the result does not
-/// depend on config.threads.
-///
-/// Since config.threads defaults to all cores, the builders (and any
-/// predicates) are invoked concurrently and must be thread-safe — true of
-/// every builder in this library, which construct fresh per-run state.  A
-/// builder with shared mutable state must set config.threads = 1.
-CampaignResult run_campaign(const ValueGenerator& values,
-                            const InstanceBuilder& instance,
-                            const AdversaryBuilder& adversary,
-                            const CampaignConfig& config);
-
-class Executor;
-
-/// Runs the campaign on a caller-supplied persistent Executor
-/// (sim/executor.hpp) instead of a one-shot pool: submit and wait.  The
-/// result is bit-identical to the overload above — campaigns do not
-/// depend on the pool that ran them — but the pool lifecycle is shared
-/// with every other submission, so drivers looping over campaigns should
-/// prefer this entry point.  config.threads is ignored (the pool is
-/// already sized).
-CampaignResult run_campaign(const ValueGenerator& values,
-                            const InstanceBuilder& instance,
-                            const AdversaryBuilder& adversary,
-                            const CampaignConfig& config, Executor& executor);
 
 }  // namespace hoval

@@ -27,13 +27,9 @@ int resolve_pool_threads(int requested) {
   return hardware == 0 ? 1 : static_cast<int>(hardware);
 }
 
-/// The CampaignEngine constructor's validation, shared verbatim so a
-/// config rejected by the engine is rejected by submit() with the same
-/// message, and vice versa.
+/// submit()'s preconditions on a campaign config.
 void validate_campaign_config(const CampaignConfig& config) {
   HOVAL_EXPECTS_MSG(config.runs > 0, "campaign needs at least one run");
-  HOVAL_EXPECTS_MSG(config.threads >= 0,
-                    "threads must be >= 0 (0 = hardware concurrency)");
   HOVAL_EXPECTS_MSG(config.progress_batch > 0,
                     "progress_batch must be positive");
   HOVAL_EXPECTS_MSG(config.batch_size >= 0,
@@ -64,8 +60,7 @@ struct PoolSignal {
 };
 
 /// Everything one run contributes to the aggregate, in a form that can be
-/// merged in run order without losing information.  (Moved here from the
-/// engine, which now executes through the Executor.)
+/// merged in run order without losing information.
 struct RunOutcome {
   bool executed = false;  ///< false for runs skipped by cancellation
   bool agreement_violation = false;
@@ -102,8 +97,8 @@ class CampaignJob {
         pool_(std::move(pool)) {
     cap_ = config_.adaptive.enabled ? config_.adaptive.cap(config_.runs)
                                     : config_.runs;
-    // Effective parallelism mirrors the engine's run-cap clamp so the
-    // auto batch size resolves identically for a given pool.
+    // More workers than runs would idle: clamp the parallelism the auto
+    // batch size is computed from.
     effective_threads_ = std::min(pool_threads, cap_);
     if (config_.batch_size > 0) {
       batch_ = config_.batch_size;
@@ -176,7 +171,7 @@ class CampaignJob {
 
   /// (Re)binds a worker's cached per-job state to this job's claim.
   /// Rebuilding on a job switch (or resetting the budget on a wave
-  /// switch) can only format *more* violation strings than one engine
+  /// switch) can only format *more* violation strings than one serial
   /// worker would, never fewer, so the reduction still sees every string
   /// the serial path keeps.
   void bind_worker_state(WorkerJobState& state, const Claim& claim) const {
@@ -197,8 +192,7 @@ class CampaignJob {
     }
   }
 
-  /// Executes one run into its outcome slot.  Identical, statement for
-  /// statement, to the engine's historical execute_run: seeds derive from
+  /// Executes one run into its outcome slot.  Seeds derive from
   /// (base_seed, run) alone, so the outcome is independent of worker,
   /// pool, and whatever else the executor interleaves.
   void execute_run(int run, RunWorkspace& workspace, WorkerJobState& state) {
@@ -525,10 +519,9 @@ class CampaignJob {
     return result;
   }
 
-  /// Batched progress reporting, serialised per job exactly as the engine
-  /// serialised it per campaign.  Never called with `mu_` held, so a
-  /// callback may cancel this or any sibling campaign.  A veto on the
-  /// final flush has nothing left to cancel.
+  /// Batched progress reporting, serialised per job.  Never called with
+  /// `mu_` held, so a callback may cancel this or any sibling campaign.
+  /// A veto on the final flush has nothing left to cancel.
   void report_progress(bool final_flush) {
     if (!config_.progress) return;
     std::lock_guard<std::mutex> lock(progress_mu_);

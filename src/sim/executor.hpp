@@ -1,27 +1,27 @@
 #pragma once
 
 /// \file executor.hpp
-/// Executor: the persistent campaign execution service.
+/// Executor: the one campaign runner.
 ///
-/// Where a CampaignEngine::run() call owns its worker pool for the
-/// duration of one campaign, an Executor is a *long-lived* pool that
-/// campaigns are submitted to asynchronously: submit() returns a
-/// CampaignHandle immediately, and the campaign's deterministic adaptive
-/// waves become schedulable blocks of pool work.  Campaigns from different
-/// submissions interleave on the same workers — an adaptive early-stopper
-/// frees its workers for whatever else is queued — which is what lets a
-/// whole sweep (scenario/run.hpp) share one pool lifecycle instead of
-/// paying a pool spin-up and tear-down per grid point.
+/// An Executor is a long-lived worker pool that campaigns are submitted
+/// to asynchronously: submit() returns a CampaignHandle immediately, and
+/// the campaign's deterministic adaptive waves become schedulable blocks
+/// of pool work.  Every front end (CLI, daemon, dispatch worker, benches)
+/// owns exactly one and passes it to the entry points that run campaigns
+/// (scenario/run.hpp, refine/driver.hpp, HoMachine::campaign).  Campaigns
+/// from different submissions interleave on the same workers — an
+/// adaptive early-stopper frees its workers for whatever else is queued —
+/// so a whole sweep shares one pool lifecycle.
 ///
 /// Determinism is preserved *by construction*, including under
 /// interleaving.  Every run of a campaign derives its RNG streams from
 /// (base_seed, run index) alone, outcomes land in per-run slots, and the
 /// reduction merges them in run-index order; adaptive stopping decisions
-/// are evaluated only on fully-executed wave prefixes, exactly as the
-/// engine always did.  Nothing a run computes depends on which worker
-/// executed it, which pool it ran on, or what other campaigns were in
-/// flight — so a campaign's CampaignResult is bit-identical for any
-/// executor thread count, any batch size, and any submission interleaving.
+/// are evaluated only on fully-executed wave prefixes.  Nothing a run
+/// computes depends on which worker executed it, which pool it ran on, or
+/// what other campaigns were in flight — so a campaign's CampaignResult is
+/// bit-identical for any executor thread count, any batch size, and any
+/// submission interleaving.
 ///
 /// Each worker owns one RunWorkspace (sim/workspace.hpp) for its entire
 /// lifetime: the workspace is size-agnostic and reused across *all* the
@@ -39,9 +39,8 @@
 /// callback can cancel sibling campaigns).  The builders of a submitted
 /// campaign are invoked concurrently from the pool and must be safe to
 /// call from multiple threads — true of every builder in this library.  A
-/// campaign whose builders share mutable state needs a dedicated
-/// single-worker Executor (the per-campaign CampaignConfig::threads knob
-/// cannot restrict a shared pool).
+/// campaign whose builders share mutable state needs a single-worker
+/// Executor.
 
 #include <memory>
 
@@ -73,7 +72,7 @@ class CampaignHandle {
 
   /// Blocks until finished and returns the merged result.  \throws the
   /// first exception a builder, predicate or progress callback raised
-  /// while the campaign executed (mirroring CampaignEngine::run()).
+  /// while the campaign executed.
   const CampaignResult& result() const;
 
   /// Blocks until finished and *moves* the result out — the zero-copy way
@@ -84,8 +83,8 @@ class CampaignHandle {
 
   /// Requests cancellation: no further runs of this campaign start, runs
   /// already executing finish, and the result is reduced over the executed
-  /// prefix with CampaignResult::cancelled set (exactly the engine's
-  /// progress-veto semantics).  Cancelling before the first run starts
+  /// prefix with CampaignResult::cancelled set (the same result a
+  /// progress-callback veto gives).  Cancelling before the first run starts
   /// yields an empty cancelled result.  Returns true when the request
   /// landed before the campaign finished; false when there was nothing
   /// left to cancel.  Idempotent.
@@ -113,13 +112,11 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Enqueues a campaign and returns immediately.  The config is
-  /// validated exactly as CampaignEngine's constructor validates it
-  /// (\throws PreconditionError on the same violations); its `threads`
-  /// field is ignored — the pool is shared and its size fixed — which
-  /// never changes the result, since campaigns are bit-identical at any
-  /// thread count.  Batch size / adaptive waves / progress batching /
-  /// trace retention all behave exactly as under CampaignEngine::run().
+  /// Enqueues a campaign and returns immediately.  \throws
+  /// PreconditionError on a missing builder, runs <= 0, progress_batch
+  /// <= 0, batch_size < 0 (0 = auto: roughly cap / (threads * 8), clamped
+  /// to [1, 64]), or invalid adaptive knobs (min_runs <= 0, max_runs < 0,
+  /// ci_epsilon <= 0, ci_confidence outside (0, 1)).
   CampaignHandle submit(ValueGenerator values, InstanceBuilder instance,
                         AdversaryBuilder adversary, CampaignConfig config);
 

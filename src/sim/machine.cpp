@@ -1,5 +1,7 @@
 #include "sim/machine.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace hoval {
@@ -40,10 +42,12 @@ MachineReport HoMachine::solve(const std::vector<Value>& initial_values,
 }
 
 CampaignResult HoMachine::campaign(const ValueGenerator& values,
-                                   CampaignConfig config) const {
+                                   CampaignConfig config,
+                                   Executor& executor) const {
   for (const auto& predicate : predicates_)
     config.predicates.push_back(predicate);
-  return run_campaign(values, instance_, adversary_, config);
+  return executor.submit(values, instance_, adversary_, std::move(config))
+      .take();
 }
 
 }  // namespace hoval

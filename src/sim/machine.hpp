@@ -5,8 +5,8 @@
 /// (instance builder), an environment (adversary builder, realising the
 /// fault pattern), and the communication predicate(s) the machine assumes.
 /// solve() runs once and reports decisions, consensus verdicts and
-/// per-predicate verdicts on the ground-truth trace; campaign() wraps the
-/// Monte-Carlo driver.
+/// per-predicate verdicts on the ground-truth trace; campaign() submits a
+/// Monte-Carlo campaign to an Executor.
 ///
 /// The machine "solves consensus" when every run satisfying P satisfies
 /// Agreement/Integrity/Termination — solve() hands back exactly the pieces
@@ -18,6 +18,7 @@
 
 #include "predicates/predicate.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/properties.hpp"
 #include "sim/simulator.hpp"
 
@@ -52,12 +53,11 @@ class HoMachine {
   MachineReport solve(const std::vector<Value>& initial_values,
                       const SimConfig& config) const;
 
-  /// Runs a Monte-Carlo campaign (predicates are appended to the config's).
-  /// Executes on the parallel campaign engine: unless config.threads is 1,
-  /// the machine's builders are invoked concurrently (see run_campaign's
-  /// thread-safety note in sim/campaign.hpp).
-  CampaignResult campaign(const ValueGenerator& values,
-                          CampaignConfig config) const;
+  /// Runs a Monte-Carlo campaign on `executor` (predicates are appended to
+  /// the config's).  Unless the executor has one worker, the machine's
+  /// builders are invoked concurrently (see sim/executor.hpp).
+  CampaignResult campaign(const ValueGenerator& values, CampaignConfig config,
+                          Executor& executor) const;
 
  private:
   InstanceBuilder instance_;

@@ -45,8 +45,8 @@ std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b, std::uint64_t c = 0,
 /// and the CLI used to hand-roll `base + k` arithmetic at every call site;
 /// routing it through here keeps the convention in one place (and keeps
 /// historical campaign results bit-identical, hence the plain addition).
-/// Per-run streams are a different concern — the CampaignEngine derives
-/// those via mix_seed(base, run, stream).
+/// Per-run streams are a different concern — the Executor derives those
+/// via mix_seed(base, run, stream).
 constexpr std::uint64_t derived_seed(std::uint64_t base,
                                      std::uint64_t label) noexcept {
   return base + label;

@@ -19,6 +19,7 @@
 #include "dispatch/worker.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
+#include "sim/executor.hpp"
 #include "sim/result_json.hpp"
 #include "util/faults.hpp"
 
@@ -52,9 +53,16 @@ std::string rendered(const std::vector<CampaignResult>& results) {
   return campaign_results_to_json(results).dump(2);
 }
 
+/// The in-process reference: the sweep on a pool that is joined again
+/// before the caller forks any worker.
+std::string rendered_local(const SweepSpec& sweep) {
+  Executor executor(2);
+  return rendered(run_sweep(sweep, executor));
+}
+
 TEST(Dispatch, MergedResultsBitIdenticalToRunSweepAtAnyWorkerCount) {
   const SweepSpec sweep = demo_sweep();
-  const std::string reference = rendered(run_sweep(sweep, SweepOptions{}));
+  const std::string reference = rendered_local(sweep);
   for (const int workers : {1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     DispatchOptions options;
@@ -70,7 +78,7 @@ TEST(Dispatch, MergedResultsBitIdenticalToRunSweepAtAnyWorkerCount) {
 
 TEST(Dispatch, WorkerThreadsAreAThroughputKnobNotACorrectnessOne) {
   const SweepSpec sweep = demo_sweep();
-  const std::string reference = rendered(run_sweep(sweep, SweepOptions{}));
+  const std::string reference = rendered_local(sweep);
   DispatchOptions options;
   options.workers = 2;
   options.worker_threads = 3;
@@ -79,7 +87,7 @@ TEST(Dispatch, WorkerThreadsAreAThroughputKnobNotACorrectnessOne) {
 
 TEST(Dispatch, InjectedWorkerKillResubmitsAndStaysBitIdentical) {
   const SweepSpec sweep = demo_sweep();
-  const std::string reference = rendered(run_sweep(sweep, SweepOptions{}));
+  const std::string reference = rendered_local(sweep);
   for (const int victim : {0, 1}) {
     SCOPED_TRACE("killed slot " + std::to_string(victim));
     DispatchOptions options;
@@ -97,7 +105,7 @@ TEST(Dispatch, InjectedWorkerKillResubmitsAndStaysBitIdentical) {
 
 TEST(Dispatch, SingleWorkerKillRespawnsAndCompletes) {
   const SweepSpec sweep = demo_sweep();
-  const std::string reference = rendered(run_sweep(sweep, SweepOptions{}));
+  const std::string reference = rendered_local(sweep);
   DispatchOptions options;
   options.workers = 1;
   options.test_kill_worker = 0;
@@ -159,7 +167,7 @@ TEST(Dispatch, SafetyViolationsSurfaceInTheReport) {
   // report must say so — this is what hoval_dispatch's exit code keys off.
   EXPECT_FALSE(report.all_safety_clean());
   EXPECT_GT(report.results[1].agreement_violations, 0);
-  EXPECT_EQ(rendered(report.results), rendered(run_sweep(sweep, SweepOptions{})));
+  EXPECT_EQ(rendered(report.results), rendered_local(sweep));
 }
 
 TEST(Dispatch, SummaryCarriesTheResubmissionCount) {
@@ -183,6 +191,30 @@ TEST(Dispatch, InvalidOptionsAndSweepsFailFast) {
   EXPECT_THROW(dispatch_sweep(sweep, {}), ScenarioError);
 }
 
+TEST(Dispatch, RefinedSweepsAreRefusedBeforeAnyWorkerSpawns) {
+  // Workers run fixed points only; a refined sweep dispatched as its
+  // coarse grid would silently answer a different question.  The refusal
+  // must come before the first fork: the worker command would leave a
+  // marker file behind.
+  const std::string marker =
+      ::testing::TempDir() + "hoval_dispatch_refine_spawned";
+  ::unlink(marker.c_str());
+  SweepSpec sweep = demo_sweep();
+  sweep.refine.enabled = true;
+  DispatchOptions options;
+  options.workers = 2;
+  options.worker_argv = {"/bin/sh", "-c", "touch '" + marker + "'"};
+  try {
+    dispatch_sweep(sweep, options);
+    ADD_FAILURE() << "a refined sweep was dispatched";
+  } catch (const DispatchError& e) {
+    EXPECT_NE(std::string(e.what()).find("hoval_cli --sweep"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NE(::access(marker.c_str(), F_OK), 0) << "a worker was spawned";
+}
+
 // --- chaos: the dispatcher under an installed fault plan -------------------
 
 /// Installs the process-wide injector for one test and always clears it.
@@ -200,7 +232,7 @@ TEST(Dispatch, FaultPlanChaosStaysBitIdenticalToTheFaultFreeRun) {
   // caught by the frame CRC (bad-frame -> worker lost), injected
   // EOF/reset kill workers, and resubmission + respawn absorb all of it.
   const SweepSpec sweep = demo_sweep();
-  const std::string reference = rendered(run_sweep(sweep, SweepOptions{}));
+  const std::string reference = rendered_local(sweep);
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
     ScopedFaultInjection chaos(
@@ -319,10 +351,11 @@ TEST(Dispatch, WorkerLoopServesPointsAndReportsBadOnesAsErrorFrames) {
   EXPECT_EQ(replies[2].index, 2);
 
   // The served result is the same bytes a direct run produces.
+  Executor executor(1);
   EXPECT_EQ(campaign_result_to_json(
                 campaign_result_from_json(replies[0].body))
                 .dump(),
-            campaign_result_to_json(run_scenario(points[0])).dump());
+            campaign_result_to_json(run_scenario(points[0], executor)).dump());
 }
 
 TEST(Dispatch, WorkerLoopDiagnosesTruncatedAndGarbageStreams) {

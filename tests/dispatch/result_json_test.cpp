@@ -15,6 +15,12 @@
 namespace hoval {
 namespace {
 
+/// The pool every campaign in this file runs on.
+Executor& pool() {
+  static Executor executor(2);
+  return executor;
+}
+
 ScenarioSpec clean_spec() {
   ScenarioSpec spec;
   spec.algorithm = component("ate", {{"n", 12}, {"alpha", 2}});
@@ -85,7 +91,7 @@ void expect_lossless(const CampaignResult& result) {
 }
 
 TEST(ResultJson, FixedCampaignRoundTripsLosslessly) {
-  expect_lossless(run_scenario(clean_spec()));
+  expect_lossless(run_scenario(clean_spec(), pool()));
 }
 
 TEST(ResultJson, AdaptiveCampaignRoundTripsLosslessly) {
@@ -94,13 +100,13 @@ TEST(ResultJson, AdaptiveCampaignRoundTripsLosslessly) {
   spec.campaign.adaptive.enabled = true;
   spec.campaign.adaptive.min_runs = 32;
   spec.campaign.adaptive.ci_epsilon = 0.08;
-  const CampaignResult result = run_scenario(spec);
+  const CampaignResult result = run_scenario(spec, pool());
   EXPECT_GT(result.ci_confidence, 0.0);
   expect_lossless(result);
 }
 
 TEST(ResultJson, ViolatingCampaignRoundTripsLosslessly) {
-  const CampaignResult result = run_scenario(violating_spec());
+  const CampaignResult result = run_scenario(violating_spec(), pool());
   ASSERT_GT(result.agreement_violations, 0);
   ASSERT_FALSE(result.violations.empty());
   expect_lossless(result);
@@ -109,7 +115,7 @@ TEST(ResultJson, ViolatingCampaignRoundTripsLosslessly) {
 TEST(ResultJson, TracesAreElidedByDesign) {
   ScenarioSpec spec = violating_spec();
   spec.campaign.keep_traces = TraceRetention::kViolations;
-  const CampaignResult result = run_scenario(spec);
+  const CampaignResult result = run_scenario(spec, pool());
   ASSERT_FALSE(result.traces.empty());
   const CampaignResult reparsed =
       campaign_result_from_json(campaign_result_to_json(result));
@@ -122,16 +128,17 @@ TEST(ResultJson, TracesAreElidedByDesign) {
 TEST(ResultJson, SerialisationIsIndependentOfAccessorHistory) {
   // SampleSet sorts its store lazily when quantiles are read; the wire
   // form must not depend on whether summary() ran first.
-  const CampaignResult untouched = run_scenario(clean_spec());
-  CampaignResult probed = run_scenario(clean_spec());
+  const CampaignResult untouched = run_scenario(clean_spec(), pool());
+  CampaignResult probed = run_scenario(clean_spec(), pool());
   (void)probed.summary();  // forces the lazy sort
   EXPECT_EQ(campaign_result_to_json(untouched).dump(2),
             campaign_result_to_json(probed).dump(2));
 }
 
 TEST(ResultJson, ResultsArrayRoundTrips) {
-  const std::vector<CampaignResult> results = {run_scenario(clean_spec()),
-                                               run_scenario(violating_spec())};
+  const std::vector<CampaignResult> results = {
+      run_scenario(clean_spec(), pool()),
+      run_scenario(violating_spec(), pool())};
   const Json documents = campaign_results_to_json(results);
   const std::vector<CampaignResult> reparsed =
       campaign_results_from_json(documents);
@@ -141,7 +148,8 @@ TEST(ResultJson, ResultsArrayRoundTrips) {
 }
 
 TEST(ResultJson, OffSchemaDocumentsAreRejected) {
-  const Json valid = campaign_result_to_json(run_scenario(clean_spec()));
+  const Json valid =
+      campaign_result_to_json(run_scenario(clean_spec(), pool()));
 
   Json extra = valid;
   extra.set("surprise", 1);

@@ -15,10 +15,20 @@
 #include "core/factories.hpp"
 #include "predicates/safety.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 
 namespace hoval {
 namespace {
+
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
 
 /// Draws a random raw adversary (before clamping).
 std::shared_ptr<Adversary> random_raw_adversary(Rng& rng, int /*n*/, int alpha) {
@@ -91,7 +101,7 @@ TEST(AdversaryFuzz, AteSafetyUnderClampedRandomStacks) {
     config.base_seed = master.next();
     config.predicates.push_back(std::make_shared<PAlpha>(alpha));
 
-    const auto result = run_campaign(
+    const auto result = run_via_pool(
         [n](Rng& rng) { return random_values(n, 4, rng); },
         [params](const std::vector<Value>& init) {
           return make_ate_instance(params, init);
@@ -139,7 +149,7 @@ TEST(AdversaryFuzz, UteaSafetyUnderClampedRandomStacks) {
     config.predicates.push_back(std::make_shared<PUSafe>(
         n, params.threshold_t, params.threshold_e, alpha));
 
-    const auto result = run_campaign(
+    const auto result = run_via_pool(
         [n](Rng& rng) { return random_values(n, 4, rng); },
         [params](const std::vector<Value>& init) {
           return make_utea_instance(params, init);

@@ -131,6 +131,7 @@ TEST(JsonFuzz, MutatedResultDocumentsNeverCrashTheResultParser) {
   // campaign-result documents must either throw JsonError or parse into a
   // result that re-serialises to an accepted, equal document.
   std::vector<std::string> seeds;
+  Executor executor(2);
   for (const std::uint64_t seed : {1ull, 77ull}) {
     ScenarioSpec spec;
     spec.algorithm = component("ate", {{"n", 9}, {"alpha", 1}});
@@ -141,7 +142,8 @@ TEST(JsonFuzz, MutatedResultDocumentsNeverCrashTheResultParser) {
     spec.campaign.runs = 16;
     spec.campaign.rounds = 30;
     spec.campaign.seed = seed;
-    seeds.push_back(campaign_result_to_json(run_scenario(spec)).dump(2));
+    seeds.push_back(
+        campaign_result_to_json(run_scenario(spec, executor)).dump(2));
   }
   Rng rng(0xF0025);
   long long accepted = 0;

@@ -13,10 +13,20 @@
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 
 namespace hoval {
 namespace {
+
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
 
 TEST(EndToEnd, TransientBurstThenRecovery) {
   // A hostile burst in rounds 1-15 (both corruption and loss), then a calm
@@ -120,7 +130,7 @@ TEST(EndToEnd, BlockFaultPatternIsHarmlessToAte) {
   config.base_seed = 5150;
   config.predicates.push_back(std::make_shared<PAlpha>(1));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);
@@ -153,7 +163,7 @@ TEST(EndToEnd, PhaseKingAgreesUnderStaticByzantine) {
   config.sim.max_rounds = 2 * (t + 1) + 2;
   config.base_seed = 616;
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_phase_king_instance(params, init);
@@ -177,7 +187,7 @@ TEST(EndToEnd, PhaseKingIntegrityUnanimousStart) {
   config.sim.max_rounds = 8;
   config.base_seed = 23;
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng&) { return unanimous_values(9, 7); },
       [params](const std::vector<Value>& init) {
         return make_phase_king_instance(params, init);
@@ -205,7 +215,7 @@ TEST(EndToEnd, DynamicFaultsBreakPhaseKingButNotAte) {
   config.sim.max_rounds = 30;
   config.base_seed = 3141;
 
-  const auto ate = run_campaign(
+  const auto ate = run_via_pool(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [](const std::vector<Value>& init) {
         return make_ate_instance(AteParams::canonical(9, 1), init);
@@ -214,7 +224,7 @@ TEST(EndToEnd, DynamicFaultsBreakPhaseKingButNotAte) {
       config);
   EXPECT_TRUE(ate.safety_clean()) << ate.summary();
 
-  const auto king = run_campaign(
+  const auto king = run_via_pool(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [](const std::vector<Value>& init) {
         return make_phase_king_instance(PhaseKingParams{9, 2}, init);
@@ -256,10 +266,6 @@ TEST(EndToEnd, CombinedLossAndCorruptionUnderClampStaysSafeForU) {
 
   RandomCorruptionConfig corruption;
   corruption.alpha = alpha;
-  auto inner = std::make_shared<ComposedAdversary>(
-      std::vector<std::shared_ptr<Adversary>>{
-          std::make_shared<RandomCorruptionAdversary>(corruption),
-          std::make_shared<RandomOmissionAdversary>(0.3)});
 
   CampaignConfig config;
   config.runs = 30;
@@ -269,12 +275,18 @@ TEST(EndToEnd, CombinedLossAndCorruptionUnderClampStaysSafeForU) {
   config.predicates.push_back(std::make_shared<PUSafe>(
       n, params.threshold_t, params.threshold_e, alpha));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng& rng) { return random_values(10, 4, rng); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
       },
       [&] {
+        // A fresh stack per run: adversaries keep per-run scratch state,
+        // and runs execute concurrently.
+        auto inner = std::make_shared<ComposedAdversary>(
+            std::vector<std::shared_ptr<Adversary>>{
+                std::make_shared<RandomCorruptionAdversary>(corruption),
+                std::make_shared<RandomOmissionAdversary>(0.3)});
         return std::make_shared<SafetyClampAdversary>(inner, bound.bound(),
                                                       alpha);
       },

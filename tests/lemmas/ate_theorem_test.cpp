@@ -12,10 +12,20 @@
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 
 namespace hoval {
 namespace {
+
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
 
 struct AteCase {
   int n;
@@ -59,7 +69,7 @@ TEST_P(AteTheoremTest, SafetyHoldsUnderPAlpha) {
                               static_cast<std::uint64_t>(alpha), 1);
   config.predicates.push_back(std::make_shared<PAlpha>(alpha));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);
@@ -84,7 +94,7 @@ TEST_P(AteTheoremTest, IntegrityHoldsOnUnanimousStart) {
   config.base_seed = mix_seed(static_cast<std::uint64_t>(n),
                               static_cast<std::uint64_t>(alpha), 2);
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng&) { return unanimous_values(n, 6); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);
@@ -111,7 +121,7 @@ TEST_P(AteTheoremTest, TerminatesWithGoodRounds) {
   config.predicates.push_back(std::make_shared<PALive>(
       n, params.threshold_t, params.threshold_e, params.alpha));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);

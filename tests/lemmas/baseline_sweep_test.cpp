@@ -7,10 +7,20 @@
 #include "adversary/omission.hpp"
 #include "core/factories.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 
 namespace hoval {
 namespace {
+
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
 
 // ------------------------------------------------- PhaseKing resilience
 
@@ -40,7 +50,7 @@ TEST_P(PhaseKingSweep, SafeAndTimelyWithinResilience) {
   config.base_seed = mix_seed(static_cast<std::uint64_t>(n),
                               static_cast<std::uint64_t>(t), 0xC1);
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_phase_king_instance(params, init);
@@ -80,7 +90,7 @@ TEST(PhaseKingSweep, BeyondResilienceViolationsAreConstructible) {
   config.sim.max_rounds = params.rounds_to_decision() + 2;
   config.base_seed = 0xBAD;
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng& rng) { return random_values(8, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_phase_king_instance(params, init);

@@ -11,10 +11,20 @@
 #include "predicates/liveness.hpp"
 #include "predicates/safety.hpp"
 #include "sim/campaign.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 
 namespace hoval {
 namespace {
+
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
 
 struct UteaCase {
   int n;
@@ -58,7 +68,7 @@ TEST_P(UteaTheoremTest, SafetyHoldsUnderPAlphaAndPUSafe) {
   config.predicates.push_back(std::make_shared<PUSafe>(
       n, params.threshold_t, params.threshold_e, alpha));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
@@ -84,7 +94,7 @@ TEST_P(UteaTheoremTest, IntegrityHoldsOnUnanimousStart) {
   config.base_seed = mix_seed(static_cast<std::uint64_t>(n),
                               static_cast<std::uint64_t>(alpha), 11);
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng&) { return unanimous_values(n, 4); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
@@ -111,7 +121,7 @@ TEST_P(UteaTheoremTest, TerminatesWithCleanPhases) {
   config.predicates.push_back(std::make_shared<PULive>(
       n, params.threshold_t, params.threshold_e, alpha));
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [n = n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
@@ -154,7 +164,7 @@ TEST(UteaTheorem, ToleratesTwiceTheCorruptionOfA) {
   config.sim.stop_when_all_decided = false;
   config.base_seed = 2211;
 
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng& rng) { return random_values(9, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);

@@ -26,6 +26,7 @@
 #include "refine/spec.hpp"
 #include "scenario/spec.hpp"
 #include "sim/executor.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +157,10 @@ TEST(RefinementDriver, CoarseGridLargerThanBudgetIsRejected) {
   const SweepSpec sweep = step_sweep(/*max_depth=*/4, /*max_points=*/1);
   Executor executor(1);
   EXPECT_THROW(run_refined_sweep(sweep, &executor), RefineError);
+}
+
+TEST(RefinementDriver, BlockingWrapperRejectsANullExecutor) {
+  EXPECT_THROW(run_refined_sweep(step_sweep(), nullptr), PreconditionError);
 }
 
 }  // namespace

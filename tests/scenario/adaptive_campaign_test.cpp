@@ -50,15 +50,15 @@ TEST(AdaptiveSweep, SpendsFewerRunsThanFixedBudgetAtConvergedIntervals) {
   // Give the stopping rule headroom: the checked-in document's budget is
   // sized for the CI smoke loop, not for demonstrating convergence.
   sweep.base.campaign.runs = 400;
-  sweep.base.campaign.threads = 2;
 
-  const std::vector<CampaignResult> fixed = run_sweep(sweep);
+  Executor executor(2);
+  const std::vector<CampaignResult> fixed = run_sweep(sweep, executor);
 
   SweepSpec adaptive = sweep;
   adaptive.base.campaign.adaptive.enabled = true;
   adaptive.base.campaign.adaptive.min_runs = 50;
   adaptive.base.campaign.adaptive.ci_epsilon = kEpsilon;
-  const std::vector<CampaignResult> results = run_sweep(adaptive);
+  const std::vector<CampaignResult> results = run_sweep(adaptive, executor);
 
   ASSERT_EQ(results.size(), fixed.size());
   long long fixed_runs = 0;
@@ -90,10 +90,10 @@ TEST(AdaptiveSweep, SpendsFewerRunsThanFixedBudgetAtConvergedIntervals) {
 TEST(AdaptiveSweep, FixedBudgetResultsBitIdenticalAtAnyThreadCount) {
   SweepSpec sweep =
       SweepSpec::from_json_text(read_corpus_file("sweep_ate_alpha.json"));
-  sweep.base.campaign.threads = 1;
-  const std::vector<CampaignResult> serial = run_sweep(sweep);
-  sweep.base.campaign.threads = 4;
-  const std::vector<CampaignResult> parallel = run_sweep(sweep);
+  Executor one(1);
+  const std::vector<CampaignResult> serial = run_sweep(sweep, one);
+  Executor four(4);
+  const std::vector<CampaignResult> parallel = run_sweep(sweep, four);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     expect_identical(serial[i], parallel[i]);
@@ -107,11 +107,11 @@ TEST(AdaptiveSweep, AdaptiveResultsBitIdenticalAtAnyThreadCount) {
   sweep.base.campaign.adaptive.min_runs = 50;
   sweep.base.campaign.adaptive.ci_epsilon = 0.05;
 
-  sweep.base.campaign.threads = 1;
-  const std::vector<CampaignResult> serial = run_sweep(sweep);
-  sweep.base.campaign.threads = 4;
+  Executor one(1);
+  const std::vector<CampaignResult> serial = run_sweep(sweep, one);
   sweep.base.campaign.batch_size = 7;  // and at any batch size
-  const std::vector<CampaignResult> parallel = run_sweep(sweep);
+  Executor four(4);
+  const std::vector<CampaignResult> parallel = run_sweep(sweep, four);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i].stopped_early);
@@ -119,8 +119,8 @@ TEST(AdaptiveSweep, AdaptiveResultsBitIdenticalAtAnyThreadCount) {
   }
 }
 
-TEST(AdaptiveScenario, RunScenarioMatchesEngineOnHandBuiltConfig) {
-  // The declarative path must drive the engine exactly as a hand-built
+TEST(AdaptiveScenario, RunScenarioMatchesSubmitOnHandBuiltConfig) {
+  // The declarative path must drive the executor exactly as a hand-built
   // CampaignConfig would, adaptive knobs included.
   ScenarioSpec spec = ScenarioSpec::from_json_text(R"({
     "algorithm": {"name": "ate", "params": {"n": 9, "alpha": 2}},
@@ -130,15 +130,18 @@ TEST(AdaptiveScenario, RunScenarioMatchesEngineOnHandBuiltConfig) {
     "campaign": {"runs": 600, "rounds": 40, "seed": 77, "threads": 2,
                  "adaptive": {"min_runs": 40, "ci_epsilon": 0.05}}
   })");
-  const CampaignResult via_spec = run_scenario(spec);
+  Executor executor(2);
+  const CampaignResult via_spec = run_scenario(spec, executor);
 
   const ResolvedScenario resolved = resolve_scenario(spec);
   EXPECT_TRUE(resolved.config.adaptive.enabled);
   EXPECT_EQ(resolved.config.adaptive.min_runs, 40);
-  const CampaignResult via_engine =
-      run_campaign(resolved.values, resolved.instance, resolved.adversary,
-                   resolved.config);
-  expect_identical(via_spec, via_engine);
+  const CampaignResult via_submit =
+      executor
+          .submit(resolved.values, resolved.instance, resolved.adversary,
+                  resolved.config)
+          .take();
+  expect_identical(via_spec, via_submit);
   EXPECT_TRUE(via_spec.stopped_early);
   EXPECT_LT(via_spec.runs, 600);
 }

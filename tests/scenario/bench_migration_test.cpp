@@ -37,6 +37,20 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.summary(), b.summary());
 }
 
+/// The pool every campaign in this file runs on.
+Executor& pool() {
+  static Executor executor(2);
+  return executor;
+}
+
+/// Runs one hand-built campaign on pool().
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  return pool().submit(values, instance, adversary, config).take();
+}
+
 ValueGenerator random_of(int n) {
   return [n](Rng& rng) { return random_values(n, 3, rng); };
 }
@@ -53,8 +67,7 @@ TEST(BenchMigration, Fig2UliveGridPointMatchesHandBuilt) {
   config.sim.max_rounds = 6 * gap + 30;
   config.base_seed =
       derived_seed(0xF26B, static_cast<std::uint64_t>(gap * 100 + pi0));
-  config.threads = 2;
-  const auto hand_built = run_campaign(
+  const auto hand_built = run_via_pool(
       random_of(params.n),
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
@@ -80,8 +93,7 @@ TEST(BenchMigration, Fig2UliveGridPointMatchesHandBuilt) {
   spec.campaign.runs = config.runs;
   spec.campaign.rounds = config.sim.max_rounds;
   spec.campaign.seed = config.base_seed;
-  spec.campaign.threads = 2;
-  expect_identical(hand_built, run_scenario(spec));
+  expect_identical(hand_built, run_scenario(spec, pool()));
 }
 
 /// bench_resilience_utea grid point (n, alpha) = (12, 3): the clamped
@@ -108,9 +120,8 @@ TEST(BenchMigration, ResilienceUteaGridPointMatchesHandBuilt) {
   safety.sim.max_rounds = 30;
   safety.sim.stop_when_all_decided = false;
   safety.base_seed = seed;
-  safety.threads = 2;
   const auto hand_safety =
-      run_campaign(random_of(params.n), utea_instance, usafe, safety);
+      run_via_pool(random_of(params.n), utea_instance, usafe, safety);
 
   ScenarioSpec safety_spec;
   safety_spec.algorithm =
@@ -122,15 +133,13 @@ TEST(BenchMigration, ResilienceUteaGridPointMatchesHandBuilt) {
   safety_spec.campaign.rounds = 30;
   safety_spec.campaign.stop_when_all_decided = false;
   safety_spec.campaign.seed = seed;
-  safety_spec.campaign.threads = 2;
-  expect_identical(hand_safety, run_scenario(safety_spec));
+  expect_identical(hand_safety, run_scenario(safety_spec, pool()));
 
   CampaignConfig live;
   live.runs = 40;
   live.sim.max_rounds = 60;
   live.base_seed = derived_seed(seed, 1);
-  live.threads = 2;
-  const auto hand_live = run_campaign(
+  const auto hand_live = run_via_pool(
       random_of(params.n), utea_instance,
       [&] {
         CleanPhaseConfig clean;
@@ -145,7 +154,7 @@ TEST(BenchMigration, ResilienceUteaGridPointMatchesHandBuilt) {
   live_spec.campaign.rounds = 60;
   live_spec.campaign.stop_when_all_decided = true;
   live_spec.campaign.seed = derived_seed(seed, 1);
-  expect_identical(hand_live, run_scenario(live_spec));
+  expect_identical(hand_live, run_scenario(live_spec, pool()));
 }
 
 /// bench_ablation_thresholds choice (E, T) = (8.5, 11.5): the liveness
@@ -166,7 +175,6 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
     ScenarioSpec spec;
     spec.algorithm = component(
         "ate", {{"n", n}, {"alpha", alpha}, {"t", t}, {"e", e}});
-    spec.campaign.threads = 2;
     return spec;
   };
 
@@ -175,8 +183,7 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
   live.runs = 80;
   live.sim.max_rounds = 60;
   live.base_seed = seed;
-  live.threads = 2;
-  const auto hand_live = run_campaign(
+  const auto hand_live = run_via_pool(
       random_of(n), ate_instance,
       [&] {
         RandomCorruptionConfig corruption;
@@ -194,15 +201,14 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
   live_spec.campaign.runs = 80;
   live_spec.campaign.rounds = 60;
   live_spec.campaign.seed = seed;
-  expect_identical(hand_live, run_scenario(live_spec));
+  expect_identical(hand_live, run_scenario(live_spec, pool()));
 
   // The same-round split attack.
   CampaignConfig attack;
   attack.runs = 80;
   attack.sim.max_rounds = 20;
   attack.base_seed = derived_seed(seed, 1);
-  attack.threads = 2;
-  const auto hand_attack = run_campaign(
+  const auto hand_attack = run_via_pool(
       [](Rng&) { return split_values(12, 1, 9); }, ate_instance,
       [&] {
         SplitVoteConfig split;
@@ -219,7 +225,7 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
   attack_spec.campaign.runs = 80;
   attack_spec.campaign.rounds = 20;
   attack_spec.campaign.seed = derived_seed(seed, 1);
-  expect_identical(hand_attack, run_scenario(attack_spec));
+  expect_identical(hand_attack, run_scenario(attack_spec, pool()));
 
   // The cross-round lock-in attack (the script applies at this choice).
   ASSERT_TRUE(lock_in_feasible(n, t, e, alpha));
@@ -228,8 +234,7 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
   lock.sim.max_rounds = 10;
   lock.sim.stop_when_all_decided = false;
   lock.base_seed = derived_seed(seed, 2);
-  lock.threads = 2;
-  const auto hand_lock = run_campaign(
+  const auto hand_lock = run_via_pool(
       [](Rng&) { return split_values(12, 0, 1); }, ate_instance,
       [&] {
         LockInConfig config;
@@ -245,7 +250,7 @@ TEST(BenchMigration, AblationThresholdsChoiceMatchesHandBuilt) {
   lock_spec.campaign.rounds = 10;
   lock_spec.campaign.stop_when_all_decided = false;
   lock_spec.campaign.seed = derived_seed(seed, 2);
-  expect_identical(hand_lock, run_scenario(lock_spec));
+  expect_identical(hand_lock, run_scenario(lock_spec, pool()));
 }
 
 }  // namespace

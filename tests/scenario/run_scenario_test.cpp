@@ -17,8 +17,8 @@
 namespace hoval {
 namespace {
 
-/// Full-field equality: run_scenario must be *bit-identical* to the
-/// hand-built run_campaign path, down to sample vectors and diagnostic
+/// Full-field equality: run_scenario must be *bit-identical* to submitting
+/// the hand-built builders, down to sample vectors and diagnostic
 /// strings.
 void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.runs, b.runs);
@@ -36,7 +36,7 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 
 // --- shape 1: the migrated bench_fig1_alive campaign -----------------------
 
-ScenarioSpec fig1_spec(int threads) {
+ScenarioSpec fig1_spec() {
   ScenarioSpec spec;
   spec.algorithm = component("ate", {{"n", 12}, {"alpha", 2}});
   spec.values = component("random", {{"distinct", 3}});
@@ -45,11 +45,10 @@ ScenarioSpec fig1_spec(int threads) {
   spec.campaign.runs = 40;
   spec.campaign.rounds = 35;
   spec.campaign.seed = 0xF16A + 5;
-  spec.campaign.threads = threads;
   return spec;
 }
 
-CampaignResult fig1_hand_built(int threads) {
+CampaignResult fig1_hand_built(Executor& executor) {
   // Verbatim the pre-refactor builder lambdas of bench_fig1_alive.
   const int n = 12;
   const int alpha = 2;
@@ -58,8 +57,7 @@ CampaignResult fig1_hand_built(int threads) {
   config.runs = 40;
   config.sim.max_rounds = 35;
   config.base_seed = 0xF16A + 5;
-  config.threads = threads;
-  return run_campaign(
+  return executor.submit(
       [n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_ate_instance(params, init);
@@ -75,12 +73,13 @@ CampaignResult fig1_hand_built(int threads) {
         return std::make_shared<GoodRoundScheduler>(
             std::make_shared<RandomCorruptionAdversary>(corruption), good);
       },
-      config);
+      config)
+      .take();
 }
 
 // --- shape 2: the migrated bench_table1 U safety row (clamp + predicates) --
 
-ScenarioSpec utea_spec(int threads) {
+ScenarioSpec utea_spec() {
   ScenarioSpec spec;
   spec.algorithm = component("utea", {{"n", 9}, {"alpha", 4}});
   spec.values = component("random", {{"distinct", 3}});
@@ -91,11 +90,10 @@ ScenarioSpec utea_spec(int threads) {
   spec.campaign.rounds = 30;
   spec.campaign.stop_when_all_decided = false;
   spec.campaign.seed = 2001;
-  spec.campaign.threads = threads;
   return spec;
 }
 
-CampaignResult utea_hand_built(int threads) {
+CampaignResult utea_hand_built(Executor& executor) {
   const int n = 9;
   const int alpha = 4;
   const auto params = UteaParams::canonical(n, alpha);
@@ -104,11 +102,10 @@ CampaignResult utea_hand_built(int threads) {
   config.sim.max_rounds = 30;
   config.sim.stop_when_all_decided = false;
   config.base_seed = 2001;
-  config.threads = threads;
   config.predicates.push_back(std::make_shared<PAlpha>(alpha));
   config.predicates.push_back(std::make_shared<PUSafe>(
       n, params.threshold_t, params.threshold_e, alpha));
-  return run_campaign(
+  return executor.submit(
       [n](Rng& rng) { return random_values(n, 3, rng); },
       [params](const std::vector<Value>& init) {
         return make_utea_instance(params, init);
@@ -122,12 +119,13 @@ CampaignResult utea_hand_built(int threads) {
             std::make_shared<RandomCorruptionAdversary>(corruption),
             bound.bound(), params.alpha);
       },
-      config);
+      config)
+      .take();
 }
 
 // --- shape 3: a violation-producing negative campaign ----------------------
 
-ScenarioSpec negative_spec(int threads) {
+ScenarioSpec negative_spec() {
   ScenarioSpec spec;
   spec.algorithm =
       component("ate", {{"n", 8}, {"alpha", 2}, {"t", 6.0}, {"e", 5.0}});
@@ -137,11 +135,10 @@ ScenarioSpec negative_spec(int threads) {
   spec.campaign.runs = 60;
   spec.campaign.rounds = 10;
   spec.campaign.seed = 3001;
-  spec.campaign.threads = threads;
   return spec;
 }
 
-CampaignResult negative_hand_built(int threads) {
+CampaignResult negative_hand_built(Executor& executor) {
   const int n = 8;
   const int alpha = 2;
   const AteParams bad{n, 6.0, 5.0, static_cast<double>(alpha)};
@@ -149,8 +146,7 @@ CampaignResult negative_hand_built(int threads) {
   config.runs = 60;
   config.sim.max_rounds = 10;
   config.base_seed = 3001;
-  config.threads = threads;
-  return run_campaign(
+  return executor.submit(
       [n](Rng&) { return split_values(n, 1, 9); },
       [bad](const std::vector<Value>& init) {
         return make_ate_instance(bad, init);
@@ -162,20 +158,22 @@ CampaignResult negative_hand_built(int threads) {
         split.high_value = 9;
         return std::make_shared<SplitVoteAdversary>(split);
       },
-      config);
+      config)
+      .take();
 }
 
 class RunScenarioBitIdentical : public ::testing::TestWithParam<int> {};
 
 TEST_P(RunScenarioBitIdentical, Fig1GoodRounds) {
-  const int threads = GetParam();
-  expect_identical(run_scenario(fig1_spec(threads)), fig1_hand_built(threads));
+  Executor executor(GetParam());
+  expect_identical(run_scenario(fig1_spec(), executor),
+                   fig1_hand_built(executor));
 }
 
 TEST_P(RunScenarioBitIdentical, UteaClampWithPredicates) {
-  const int threads = GetParam();
-  const CampaignResult scenario = run_scenario(utea_spec(threads));
-  expect_identical(scenario, utea_hand_built(threads));
+  Executor executor(GetParam());
+  const CampaignResult scenario = run_scenario(utea_spec(), executor);
+  expect_identical(scenario, utea_hand_built(executor));
   // The predicates actually held (the clamp enforces them by construction).
   ASSERT_EQ(scenario.predicate_holds.size(), 2u);
   EXPECT_EQ(scenario.predicate_holds[0], scenario.runs);
@@ -183,9 +181,9 @@ TEST_P(RunScenarioBitIdentical, UteaClampWithPredicates) {
 }
 
 TEST_P(RunScenarioBitIdentical, NegativeSplitVoteViolations) {
-  const int threads = GetParam();
-  const CampaignResult scenario = run_scenario(negative_spec(threads));
-  expect_identical(scenario, negative_hand_built(threads));
+  Executor executor(GetParam());
+  const CampaignResult scenario = run_scenario(negative_spec(), executor);
+  expect_identical(scenario, negative_hand_built(executor));
   // The attack really fires, so violation *strings* were compared above.
   EXPECT_GT(scenario.agreement_violations, 0);
   EXPECT_FALSE(scenario.violations.empty());
@@ -197,7 +195,8 @@ INSTANTIATE_TEST_SUITE_P(Threads, RunScenarioBitIdentical,
 // --- summary / predicate names ---------------------------------------------
 
 TEST(RunScenario, SummaryNamesPredicates) {
-  const CampaignResult result = run_scenario(utea_spec(1));
+  Executor executor(1);
+  const CampaignResult result = run_scenario(utea_spec(), executor);
   ASSERT_EQ(result.predicate_names.size(), 2u);
   EXPECT_EQ(result.predicate_names[0], std::make_shared<PAlpha>(4)->name());
   const std::string summary = result.summary();
@@ -210,19 +209,19 @@ TEST(RunScenario, SummaryNamesPredicates) {
 
 // --- shared executor --------------------------------------------------------
 
-TEST(RunScenario, SharedExecutorOverloadBitIdenticalToOneShotPath) {
+TEST(RunScenario, OnePoolServesEveryShapeBitIdentically) {
   // One persistent pool serves all three scenario shapes back to back;
-  // every result must match the classic one-pool-per-campaign path down
-  // to the diagnostic strings, at pool sizes on both sides of the
-  // campaigns' own thread requests.
+  // every result must match the same builders alone on a fresh serial
+  // pool, down to the diagnostic strings.
   for (const int pool_threads : {1, 4}) {
     Executor executor(pool_threads);
-    expect_identical(run_scenario(fig1_spec(1), executor),
-                     fig1_hand_built(1));
-    expect_identical(run_scenario(utea_spec(1), executor),
-                     utea_hand_built(1));
-    expect_identical(run_scenario(negative_spec(1), executor),
-                     negative_hand_built(1));
+    Executor serial(1);
+    expect_identical(run_scenario(fig1_spec(), executor),
+                     fig1_hand_built(serial));
+    expect_identical(run_scenario(utea_spec(), executor),
+                     utea_hand_built(serial));
+    expect_identical(run_scenario(negative_spec(), executor),
+                     negative_hand_built(serial));
   }
 }
 
@@ -230,12 +229,13 @@ TEST(RunScenario, SharedExecutorOverloadBitIdenticalToOneShotPath) {
 
 TEST(RunScenario, SweepRunsOneCampaignPerPoint) {
   SweepSpec sweep;
-  sweep.base = fig1_spec(1);
+  sweep.base = fig1_spec();
   sweep.base.campaign.runs = 10;
   sweep.axes.push_back(
       SweepAxis::single("algorithm.params.alpha", {Json(0), Json(1), Json(2)}));
   sweep.reseed_per_point = true;
-  const auto results = run_sweep(sweep);
+  Executor executor(2);
+  const auto results = run_sweep(sweep, executor);
   ASSERT_EQ(results.size(), 3u);
   for (const CampaignResult& result : results) {
     EXPECT_EQ(result.runs, 10);
@@ -243,31 +243,32 @@ TEST(RunScenario, SweepRunsOneCampaignPerPoint) {
   }
   // Each point is its own campaign with its own derived seed: the grid
   // point at alpha=2 must match a direct run of the same spec.
-  ScenarioSpec last = fig1_spec(1);
+  ScenarioSpec last = fig1_spec();
   last.campaign.runs = 10;
   last.campaign.seed = derived_seed(sweep.base.campaign.seed, 2);
-  expect_identical(results[2], run_scenario(last));
+  expect_identical(results[2], run_scenario(last, executor));
 }
 
 TEST(RunScenario, SweepFailsBeforeRunningOnBadSubstitution) {
   SweepSpec sweep;
-  sweep.base = fig1_spec(1);
+  sweep.base = fig1_spec();
   // Substituting a negative run count must fail at resolve time — for
   // *every* point, before any campaign runs.
   sweep.axes.push_back(SweepAxis::single("campaign.runs", {Json(10), Json(-1)}));
-  EXPECT_THROW(run_sweep(sweep), ScenarioError);
+  Executor executor(1);
+  EXPECT_THROW(run_sweep(sweep, executor), ScenarioError);
 }
 
-TEST(RunScenario, KeepTracesKnobReachesTheEngine) {
+TEST(RunScenario, KeepTracesKnobReachesTheExecutor) {
   ScenarioSpec spec;
   spec.algorithm = component("otr", {{"n", 9}});
   spec.values = component("unanimous", {{"value", 3}});
   spec.campaign.runs = 4;
   spec.campaign.rounds = 10;
-  spec.campaign.threads = 1;
   spec.campaign.keep_traces = TraceRetention::kAll;
   EXPECT_EQ(resolve_scenario(spec).config.keep_traces, TraceRetention::kAll);
-  const CampaignResult result = run_scenario(spec);
+  Executor executor(1);
+  const CampaignResult result = run_scenario(spec, executor);
   ASSERT_EQ(result.traces.size(), 4u);
   EXPECT_EQ(result.traces[0].trace.universe_size(), 9);
 }
@@ -278,8 +279,8 @@ TEST(RunScenario, EmptyAdversaryStackIsFaithful) {
   spec.values = component("unanimous", {{"value", 3}});
   spec.campaign.runs = 5;
   spec.campaign.rounds = 10;
-  spec.campaign.threads = 1;
-  const CampaignResult result = run_scenario(spec);
+  Executor executor(1);
+  const CampaignResult result = run_scenario(spec, executor);
   EXPECT_TRUE(result.safety_clean());
   EXPECT_EQ(result.terminated, result.runs);
 }

@@ -84,11 +84,13 @@ ScenarioSpec long_running_spec() {
 }
 
 std::string local_scenario_bytes(const ScenarioSpec& spec) {
-  return campaign_result_to_json(run_scenario(spec)).dump();
+  Executor executor(2);
+  return campaign_result_to_json(run_scenario(spec, executor)).dump();
 }
 
 std::string local_sweep_bytes(const SweepSpec& sweep) {
-  return campaign_results_to_json(run_sweep(sweep)).dump();
+  Executor executor(2);
+  return campaign_results_to_json(run_sweep(sweep, executor)).dump();
 }
 
 std::vector<std::pair<std::string, std::string>> corpus_documents() {
@@ -164,7 +166,9 @@ TEST(Daemon, RefinedSweepMatchesLocalRunByteForByteAndRepeatsFromCache) {
   const JobOutcome first = client.submit_sweep(sweep.to_json());
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_FALSE(first.cache_hit);
-  const std::string local = run_refined_sweep(sweep).to_json().dump();
+  Executor executor(2);
+  const std::string local =
+      run_refined_sweep(sweep, &executor).to_json().dump();
   EXPECT_EQ(first.result.dump(), local);
   const RefinedSweepResult refined =
       RefinedSweepResult::from_json(first.result);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/executor.hpp"
+
 #include "adversary/corruption.hpp"
 #include "core/factories.hpp"
 #include "predicates/safety.hpp"
@@ -41,8 +43,17 @@ AdversaryBuilder identity() {
   return [] { return std::make_shared<IdentityAdversary>(); };
 }
 
+/// Runs one campaign on a pool shared by every test in this file.
+CampaignResult run_via_pool(const ValueGenerator& values,
+                            const InstanceBuilder& instance,
+                            const AdversaryBuilder& adversary,
+                            const CampaignConfig& config) {
+  static Executor executor;
+  return executor.submit(values, instance, adversary, config).take();
+}
+
 TEST(Campaign, FaultFreeRunsAllSucceed) {
-  const auto result = run_campaign(random_of(6, 3), ate_instance(AteParams::one_third_rule(6)),
+  const auto result = run_via_pool(random_of(6, 3), ate_instance(AteParams::one_third_rule(6)),
                                    identity(), small_campaign());
   EXPECT_EQ(result.runs, 20);
   EXPECT_TRUE(result.safety_clean());
@@ -60,7 +71,7 @@ TEST(Campaign, PredicatesEvaluatedPerRun) {
   config.predicates.push_back(std::make_shared<PAlpha>(1));
   config.predicates.push_back(std::make_shared<PBenign>());
   const auto result =
-      run_campaign(random_of(9, 2), ate_instance(AteParams::canonical(9, 2)),
+      run_via_pool(random_of(9, 2), ate_instance(AteParams::canonical(9, 2)),
                    corruption_of(2), config);
   ASSERT_EQ(result.predicate_holds.size(), 3u);
   EXPECT_EQ(result.predicate_holds[0], 10);  // alpha=2 holds by construction
@@ -69,9 +80,9 @@ TEST(Campaign, PredicatesEvaluatedPerRun) {
 }
 
 TEST(Campaign, DeterministicGivenBaseSeed) {
-  const auto a = run_campaign(random_of(8, 3), ate_instance(AteParams::canonical(8, 1)),
+  const auto a = run_via_pool(random_of(8, 3), ate_instance(AteParams::canonical(8, 1)),
                               corruption_of(1), small_campaign());
-  const auto b = run_campaign(random_of(8, 3), ate_instance(AteParams::canonical(8, 1)),
+  const auto b = run_via_pool(random_of(8, 3), ate_instance(AteParams::canonical(8, 1)),
                               corruption_of(1), small_campaign());
   EXPECT_EQ(a.terminated, b.terminated);
   EXPECT_EQ(a.agreement_violations, b.agreement_violations);
@@ -94,7 +105,7 @@ TEST(Campaign, RecordsViolationsWithCap) {
 
   auto config = small_campaign(10);
   config.max_recorded_violations = 3;
-  const auto result = run_campaign(
+  const auto result = run_via_pool(
       [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
       [&] { return std::make_shared<RandomCorruptionAdversary>(corrupt_config); },
       config);
@@ -105,7 +116,7 @@ TEST(Campaign, RecordsViolationsWithCap) {
 
 TEST(Campaign, SummaryMentionsCounts) {
   const auto result =
-      run_campaign(random_of(4, 2), ate_instance(AteParams::one_third_rule(4)),
+      run_via_pool(random_of(4, 2), ate_instance(AteParams::one_third_rule(4)),
                    identity(), small_campaign(5));
   const auto s = result.summary();
   EXPECT_NE(s.find("5 runs"), std::string::npos);
@@ -178,7 +189,7 @@ TEST(Campaign, FixedBudgetSummaryUnchangedByNewFields) {
 TEST(Campaign, RejectsEmptyConfig) {
   CampaignConfig config;
   config.runs = 0;
-  EXPECT_THROW(run_campaign(random_of(4, 2),
+  EXPECT_THROW(run_via_pool(random_of(4, 2),
                             ate_instance(AteParams::one_third_rule(4)),
                             identity(), config),
                PreconditionError);

@@ -1,4 +1,9 @@
-#include "sim/engine.hpp"
+/// Campaign semantics through Executor::submit, the one campaign runner:
+/// results bit-identical across pool sizes, batch sizes and retention
+/// policies, adaptive stopping, progress and cancellation, config
+/// validation, and the pre-refactor golden statistics.
+
+#include "sim/executor.hpp"
 
 #include <gtest/gtest.h>
 
@@ -69,14 +74,31 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.summary(), b.summary());
 }
 
-CampaignResult run_with_threads(CampaignConfig config, int threads) {
-  config.threads = threads;
-  return CampaignEngine(config).run(random_of(9, 3),
-                                    ate_instance(AteParams::canonical(9, 2)),
-                                    corruption_of(2));
+/// Submits one campaign to a fresh pool of `threads` workers and waits.
+CampaignResult run_on(int threads, const ValueGenerator& values,
+                      const InstanceBuilder& instance,
+                      const AdversaryBuilder& adversary,
+                      const CampaignConfig& config) {
+  Executor executor(threads);
+  return executor.submit(values, instance, adversary, config).take();
 }
 
-TEST(CampaignEngine, ResultIdenticalAcrossThreadCounts) {
+CampaignResult run_with_threads(const CampaignConfig& config, int threads) {
+  return run_on(threads, random_of(9, 3),
+                ate_instance(AteParams::canonical(9, 2)), corruption_of(2),
+                config);
+}
+
+/// Submits `config` with the stock builders; for validation tests.
+void submit_config(const CampaignConfig& config) {
+  Executor executor(1);
+  executor
+      .submit(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+              corruption_of(2), config)
+      .take();
+}
+
+TEST(CampaignExecution, ResultIdenticalAcrossThreadCounts) {
   const auto serial = run_with_threads(base_config(64), 1);
   const auto two = run_with_threads(base_config(64), 2);
   const auto eight = run_with_threads(base_config(64), 8);
@@ -86,7 +108,7 @@ TEST(CampaignEngine, ResultIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.runs_requested, 64);
 }
 
-TEST(CampaignEngine, ResultIdenticalAcrossBatchSizes) {
+TEST(CampaignExecution, ResultIdenticalAcrossBatchSizes) {
   // Batched task claims must not change anything — not the tallies, not
   // the sample order, not the recorded violation strings.
   auto run_with_batch = [](int batch_size, int threads) {
@@ -103,18 +125,6 @@ TEST(CampaignEngine, ResultIdenticalAcrossBatchSizes) {
   }
 }
 
-TEST(CampaignEngine, ResolvesBatchSize) {
-  auto config = base_config(640);
-  config.threads = 4;
-  config.batch_size = 0;  // auto: 640 / (4 * 8) = 20
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 20);
-  config.batch_size = 7;
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 7);
-  config.runs = 4;
-  config.batch_size = 0;  // tiny campaign: auto clamps to 1
-  EXPECT_EQ(CampaignEngine(config).batch_size(), 1);
-}
-
 CampaignConfig adaptive_config(int cap, double epsilon) {
   auto config = base_config(cap);
   config.adaptive.enabled = true;
@@ -124,7 +134,7 @@ CampaignConfig adaptive_config(int cap, double epsilon) {
   return config;
 }
 
-TEST(CampaignEngine, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
+TEST(CampaignExecution, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
   // The stopping decision is evaluated on fully-executed deterministic
   // prefixes, so the executed run set — and the whole result — must be
   // bit-identical at any thread count and batch size.
@@ -138,7 +148,7 @@ TEST(CampaignEngine, AdaptiveResultIdenticalAcrossThreadsAndBatches) {
   }
 }
 
-TEST(CampaignEngine, AdaptiveStopsEarlyOnConvergedIntervals) {
+TEST(CampaignExecution, AdaptiveStopsEarlyOnConvergedIntervals) {
   // This workload terminates essentially always and holds both predicates,
   // so every monitored proportion converges fast.
   const auto result = run_with_threads(adaptive_config(4096, 0.05), 4);
@@ -155,7 +165,7 @@ TEST(CampaignEngine, AdaptiveStopsEarlyOnConvergedIntervals) {
             std::string::npos);
 }
 
-TEST(CampaignEngine, AdaptiveNeverStopsBelowMinRuns) {
+TEST(CampaignExecution, AdaptiveNeverStopsBelowMinRuns) {
   auto config = adaptive_config(256, 0.5);  // epsilon so loose any n works
   config.adaptive.min_runs = 48;
   const auto result = run_with_threads(config, 2);
@@ -163,7 +173,7 @@ TEST(CampaignEngine, AdaptiveNeverStopsBelowMinRuns) {
   EXPECT_EQ(result.runs, 48);
 }
 
-TEST(CampaignEngine, AdaptiveRunsToCapWhenEpsilonUnreachable) {
+TEST(CampaignExecution, AdaptiveRunsToCapWhenEpsilonUnreachable) {
   // An impossibly tight target degenerates to the fixed budget: every run
   // executes and the result matches the non-adaptive campaign run for run.
   const auto fixed = run_with_threads(base_config(96), 2);
@@ -179,7 +189,7 @@ TEST(CampaignEngine, AdaptiveRunsToCapWhenEpsilonUnreachable) {
             fixed.last_decision_rounds.samples());
 }
 
-TEST(CampaignEngine, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
+TEST(CampaignExecution, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
   // max_runs > runs lets one config serve as both the fixed budget and a
   // larger adaptive cap.
   auto config = adaptive_config(64, 1e-9);
@@ -189,24 +199,27 @@ TEST(CampaignEngine, AdaptiveMaxRunsExtendsBeyondCampaignRuns) {
   EXPECT_EQ(result.runs_requested, 160);
 }
 
-TEST(CampaignEngine, ValidatesAdaptiveConfig) {
+TEST(CampaignExecution, ValidatesAdaptiveConfig) {
   auto config = adaptive_config(64, 0.05);
   config.adaptive.min_runs = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
   config = adaptive_config(64, 0.0);
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
   config = adaptive_config(64, 0.05);
   config.adaptive.ci_confidence = 1.0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
+  config = adaptive_config(64, 0.05);
+  config.adaptive.ci_confidence = 0.0;
+  EXPECT_THROW(submit_config(config), PreconditionError);
   config = adaptive_config(64, 0.05);
   config.adaptive.max_runs = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
   config = base_config(64);
   config.batch_size = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
 }
 
-TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
+TEST(CampaignExecution, ViolationRecordingDeterministicNearCap) {
   // Broken thresholds under a fixed-value poison produce integrity
   // violations on most runs; the cap must keep exactly the first
   // max_recorded_violations in run order for every thread count.
@@ -223,10 +236,11 @@ TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
   config.max_recorded_violations = 4;
 
   auto run_it = [&](int threads) {
-    config.threads = threads;
-    return CampaignEngine(config).run(
-        [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+    return run_on(
+        threads, [](Rng&) { return unanimous_values(6, 1); },
+        ate_instance(bad),
+        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+        config);
   };
   const auto serial = run_it(1);
   const auto two = run_it(2);
@@ -240,14 +254,14 @@ TEST(CampaignEngine, ViolationRecordingDeterministicNearCap) {
 
 // --- pre-refactor golden lock ----------------------------------------------
 //
-// The numbers below were produced by the engine *before* the zero-allocation
+// The numbers below were produced *before* the zero-allocation
 // run hot path landed (workspace reuse, inline ProcessSet storage, streaming
 // predicates, trace retention).  Fixed-seed campaign statistics must stay
 // bit-identical to that baseline at every thread count and batch size — a
 // regression here means the hot path changed simulation semantics, not just
 // speed.
 
-TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
+TEST(CampaignExecution, GoldenStatsBitIdenticalToPreRefactorBaseline) {
   CampaignConfig config;
   config.runs = 96;
   config.sim.max_rounds = 60;
@@ -257,18 +271,18 @@ TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
   config.predicates.push_back(std::make_shared<PALive>(9, 6.0, 7.0, 2.0));
 
   auto run_it = [&](int threads, int batch_size) {
-    config.threads = threads;
     config.batch_size = batch_size;
     RandomCorruptionConfig corruption;
     corruption.alpha = 2;
-    return CampaignEngine(config).run(
-        random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+    return run_on(
+        threads, random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
         [corruption] {
           GoodRoundConfig good;
           good.period = 5;
           return std::make_shared<GoodRoundScheduler>(
               std::make_shared<RandomCorruptionAdversary>(corruption), good);
-        });
+        },
+        config);
   };
 
   for (const int threads : {1, 2, 8}) {
@@ -297,7 +311,7 @@ TEST(CampaignEngine, GoldenStatsBitIdenticalToPreRefactorBaseline) {
   }
 }
 
-TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
+TEST(CampaignExecution, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
   const AteParams bad{6, /*T=*/0.5, /*E=*/1.0, /*alpha=*/6};
   RandomCorruptionConfig poison;
   poison.alpha = 6;
@@ -311,11 +325,12 @@ TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
   config.max_recorded_violations = 3;
 
   auto run_it = [&](int threads, int batch_size) {
-    config.threads = threads;
     config.batch_size = batch_size;
-    return CampaignEngine(config).run(
-        [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+    return run_on(
+        threads, [](Rng&) { return unanimous_values(6, 1); },
+        ate_instance(bad),
+        [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+        config);
   };
 
   const std::vector<std::string> expected{
@@ -340,12 +355,12 @@ TEST(CampaignEngine, GoldenViolationStringsBitIdenticalToPreRefactorBaseline) {
 
 // --- trace retention --------------------------------------------------------
 
-TEST(CampaignEngine, KeepsNoTracesByDefault) {
+TEST(CampaignExecution, KeepsNoTracesByDefault) {
   const auto result = run_with_threads(base_config(16), 2);
   EXPECT_TRUE(result.traces.empty());
 }
 
-TEST(CampaignEngine, KeepTracesAllRetainsEveryRunInOrder) {
+TEST(CampaignExecution, KeepTracesAllRetainsEveryRunInOrder) {
   auto config = base_config(24);
   config.keep_traces = TraceRetention::kAll;
   const auto result = run_with_threads(config, 4);
@@ -365,7 +380,7 @@ TEST(CampaignEngine, KeepTracesAllRetainsEveryRunInOrder) {
   EXPECT_EQ(palpha_holds, result.predicate_holds[0]);
 }
 
-TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
+TEST(CampaignExecution, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   // The poison workload violates integrity on every run.
   const AteParams bad{6, /*T=*/0.5, /*E=*/1.0, /*alpha=*/6};
   RandomCorruptionConfig poison;
@@ -378,10 +393,10 @@ TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   config.sim.max_rounds = 30;
   config.base_seed = 0xCA9;
   config.keep_traces = TraceRetention::kViolations;
-  config.threads = 2;
-  const auto violating = CampaignEngine(config).run(
-      [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
-      [&] { return std::make_shared<RandomCorruptionAdversary>(poison); });
+  const auto violating = run_on(
+      2, [](Rng&) { return unanimous_values(6, 1); }, ate_instance(bad),
+      [&] { return std::make_shared<RandomCorruptionAdversary>(poison); },
+      config);
   EXPECT_EQ(violating.integrity_violations, 12);
   ASSERT_EQ(violating.traces.size(), 12u);
   EXPECT_EQ(violating.traces.front().run, 0);
@@ -394,7 +409,7 @@ TEST(CampaignEngine, KeepTracesViolationsRetainsExactlyTheViolatingRuns) {
   EXPECT_TRUE(clean.traces.empty());
 }
 
-TEST(CampaignEngine, RetentionPolicyDoesNotChangeStatistics) {
+TEST(CampaignExecution, RetentionPolicyDoesNotChangeStatistics) {
   const auto reference = run_with_threads(base_config(48), 1);
   for (const TraceRetention policy :
        {TraceRetention::kViolations, TraceRetention::kAll}) {
@@ -406,30 +421,8 @@ TEST(CampaignEngine, RetentionPolicyDoesNotChangeStatistics) {
   }
 }
 
-TEST(CampaignEngine, MatchesRunCampaignFacade) {
-  auto config = base_config(32);
-  config.threads = 8;
-  const auto engine = CampaignEngine(config).run(
-      random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
-  config.threads = 1;
-  const auto facade =
-      run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2), config);
-  expect_identical(engine, facade);
-}
-
-TEST(CampaignEngine, ResolvesThreadCounts) {
-  auto config = base_config(4);
-  config.threads = 0;
-  EXPECT_GE(CampaignEngine(config).threads(), 1);
-  config.threads = 3;
-  EXPECT_EQ(CampaignEngine(config).threads(), 3);
-}
-
-TEST(CampaignEngine, ReportsBatchedProgress) {
+TEST(CampaignExecution, ReportsBatchedProgress) {
   auto config = base_config(50);
-  config.threads = 2;
   config.progress_batch = 16;
   std::atomic<int> calls{0};
   std::atomic<int> final_completed{0};
@@ -439,63 +432,50 @@ TEST(CampaignEngine, ReportsBatchedProgress) {
     EXPECT_EQ(progress.total, 50);
     return true;
   };
-  const auto result = CampaignEngine(config).run(
-      random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+  const auto result = run_with_threads(config, 2);
   EXPECT_FALSE(result.cancelled);
   EXPECT_EQ(result.runs, 50);
   EXPECT_GE(calls.load(), 1);
   EXPECT_EQ(final_completed.load(), 50);
 }
 
-TEST(CampaignEngine, ProgressCallbackCanCancel) {
+TEST(CampaignExecution, ProgressCallbackCanCancel) {
   auto config = base_config(400);
-  config.threads = 2;
   config.progress_batch = 8;
   config.progress = [](const CampaignProgress&) { return false; };
-  const auto result = CampaignEngine(config).run(
-      random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+  const auto result = run_with_threads(config, 2);
   EXPECT_TRUE(result.cancelled);
   EXPECT_LT(result.runs, 400);
   EXPECT_GT(result.runs, 0);
 }
 
-TEST(CampaignEngine, ValidatesConfig) {
+TEST(CampaignExecution, ValidatesConfig) {
+  EXPECT_THROW(Executor(-1), PreconditionError);
   auto config = base_config(10);
-  config.threads = -1;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
-  config.threads = 0;
   config.progress_batch = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
   config.progress_batch = 64;
   config.runs = 0;
-  EXPECT_THROW(CampaignEngine{config}, PreconditionError);
+  EXPECT_THROW(submit_config(config), PreconditionError);
 }
 
-TEST(CampaignEngine, ProgressCallbackExceptionsPropagate) {
+TEST(CampaignExecution, ProgressCallbackExceptionsPropagate) {
   // A throwing progress sink must surface to the caller, not terminate a
   // worker thread.
   auto config = base_config(64);
-  config.threads = 4;
   config.progress_batch = 4;
   config.progress = [](const CampaignProgress&) -> bool {
     throw std::runtime_error("progress sink failed");
   };
-  EXPECT_THROW(CampaignEngine(config).run(
-                   random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2)),
-               std::runtime_error);
+  EXPECT_THROW(run_with_threads(config, 4), std::runtime_error);
 }
 
-TEST(CampaignEngine, WorkerExceptionsPropagate) {
-  auto config = base_config(32);
-  config.threads = 4;
+TEST(CampaignExecution, WorkerExceptionsPropagate) {
   const auto throwing_instance = [](const std::vector<Value>&) {
-    return ProcessVector{};  // size mismatch trips the engine's precondition
+    return ProcessVector{};  // size mismatch trips the run's precondition
   };
-  EXPECT_THROW(CampaignEngine(config).run(random_of(9, 3), throwing_instance,
-                                          corruption_of(2)),
+  EXPECT_THROW(run_on(4, random_of(9, 3), throwing_instance, corruption_of(2),
+                      base_config(32)),
                PreconditionError);
 }
 

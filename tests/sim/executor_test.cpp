@@ -1,7 +1,7 @@
 /// The acceptance contract of the persistent Executor (sim/executor.hpp):
 /// campaigns submitted to a shared pool — at any pool size, under any
 /// submission interleaving, overlapped with whole sweeps — are
-/// bit-identical to the classic one-campaign CampaignEngine path, and
+/// bit-identical to the same campaign alone on a single-worker pool, and
 /// CampaignHandle's cancel/ready/wait/result semantics hold from
 /// cancel-before-start through cancel-midway to post-completion.
 
@@ -22,7 +22,6 @@
 #include "predicates/safety.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
-#include "sim/engine.hpp"
 #include "sim/initial_values.hpp"
 #include "util/check.hpp"
 
@@ -57,6 +56,16 @@ CampaignConfig base_config(int runs, std::uint64_t seed) {
   return config;
 }
 
+/// The reference every submission must match: the same campaign alone on
+/// a fresh single-worker pool.
+CampaignResult serial_reference(const CampaignConfig& config) {
+  Executor executor(1);
+  return executor
+      .submit(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+              corruption_of(2), config)
+      .take();
+}
+
 /// Full structural equality, including diagnostic string order, sample
 /// order, adaptive intervals and the rendered summary.
 void expect_identical(const CampaignResult& a, const CampaignResult& b) {
@@ -85,13 +94,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 
 // --- submission determinism -------------------------------------------------
 
-TEST(Executor, SubmittedCampaignMatchesEngineAtAnyPoolSize) {
+TEST(Executor, SubmittedCampaignMatchesSerialPoolAtAnyPoolSize) {
   const auto config = base_config(64, 0xEB61);
-  CampaignConfig serial = config;
-  serial.threads = 1;
-  const CampaignResult reference = CampaignEngine(serial).run(
-      random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-      corruption_of(2));
+  const CampaignResult reference = serial_reference(config);
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("pool threads=" + std::to_string(threads));
     Executor executor(threads);
@@ -110,7 +115,7 @@ TEST(Executor, InterleavedSubmissionsStayBitIdentical) {
   // Two campaign families — one fixed-budget, one adaptive (different
   // wave structure) — interleaved on one pool, three instances each.
   // Interleaving changes only which worker runs what and when; every
-  // result must match its isolated engine reference exactly.
+  // result must match its isolated serial reference exactly.
   auto adaptive_config = [](std::uint64_t seed) {
     CampaignConfig config = base_config(512, seed);
     config.adaptive.enabled = true;
@@ -118,13 +123,6 @@ TEST(Executor, InterleavedSubmissionsStayBitIdentical) {
     config.adaptive.ci_epsilon = 0.04;
     config.adaptive.ci_confidence = 0.95;
     return config;
-  };
-  auto reference_of = [&](const CampaignConfig& config) {
-    CampaignConfig serial = config;
-    serial.threads = 1;
-    return CampaignEngine(serial).run(
-        random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-        corruption_of(2));
   };
 
   std::vector<CampaignConfig> configs;
@@ -146,7 +144,7 @@ TEST(Executor, InterleavedSubmissionsStayBitIdentical) {
       // Fresh reference per comparison: SampleSet's quantile accessors
       // sort the mutable store lazily, so a reference whose summary() ran
       // once would no longer expose run-order samples.
-      expect_identical(handles[i].result(), reference_of(configs[i]));
+      expect_identical(handles[i].result(), serial_reference(configs[i]));
     }
   }
 }
@@ -180,18 +178,18 @@ TEST(Executor, ParallelSweepSubmissionBitIdenticalToSequentialRunSweep) {
     // A fresh sequential reference per pool size: expect_identical renders
     // summaries, which lazily sorts the SampleSet stores — a reused
     // reference would no longer expose run-order samples.
+    Executor serial(1);
     SweepOptions sequential;
     sequential.overlap_points = false;
     const std::vector<CampaignResult> reference =
-        run_sweep(alpha_sweep(), sequential);
+        run_sweep(alpha_sweep(), serial, sequential);
     ASSERT_EQ(reference.size(), 4u);
 
     Executor executor(threads);
     SweepOptions parallel;
-    parallel.executor = &executor;
     parallel.overlap_points = true;
     const std::vector<CampaignResult> overlapped =
-        run_sweep(alpha_sweep(), parallel);
+        run_sweep(alpha_sweep(), executor, parallel);
     ASSERT_EQ(overlapped.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       SCOPED_TRACE("point " + std::to_string(i));
@@ -203,26 +201,22 @@ TEST(Executor, ParallelSweepSubmissionBitIdenticalToSequentialRunSweep) {
 TEST(Executor, SweepsInterleavedWithForeignCampaignsStayBitIdentical) {
   // A whole sweep and an unrelated campaign share the pool; both must
   // come out exactly as if each had the pool to itself.
+  Executor serial(1);
   SweepOptions sequential;
   sequential.overlap_points = false;
   const std::vector<CampaignResult> sweep_reference =
-      run_sweep(alpha_sweep(), sequential);
-  const CampaignResult campaign_reference = CampaignEngine([] {
-    auto config = base_config(96, 0xF00D);
-    config.threads = 1;
-    return config;
-  }()).run(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-           corruption_of(2));
+      run_sweep(alpha_sweep(), serial, sequential);
+  const CampaignResult campaign_reference =
+      serial_reference(base_config(96, 0xF00D));
 
   Executor executor(4);
   CampaignHandle foreign = executor.submit(
       random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
       corruption_of(2), base_config(96, 0xF00D));
   SweepOptions shared;
-  shared.executor = &executor;
   shared.overlap_points = true;
   const std::vector<CampaignResult> overlapped =
-      run_sweep(alpha_sweep(), shared);
+      run_sweep(alpha_sweep(), executor, shared);
 
   expect_identical(foreign.result(), campaign_reference);
   ASSERT_EQ(overlapped.size(), sweep_reference.size());
@@ -253,13 +247,7 @@ TEST(Executor, CancelBeforeStartYieldsEmptyCancelledResult) {
   EXPECT_FALSE(doomed.cancel());  // nothing left to cancel
 
   // The occupying campaign is untouched.
-  CampaignConfig serial = base_config(256, 0xEB61);
-  serial.threads = 1;
-  expect_identical(busy.result(),
-                   CampaignEngine(serial).run(
-                       random_of(9, 3),
-                       ate_instance(AteParams::canonical(9, 2)),
-                       corruption_of(2)));
+  expect_identical(busy.result(), serial_reference(base_config(256, 0xEB61)));
 }
 
 TEST(Executor, CancelMidwayKeepsTheExecutedPrefix) {
@@ -335,18 +323,6 @@ TEST(Executor, HandleOutlivesExecutor) {
   EXPECT_FALSE(handle.cancel());
 }
 
-TEST(Executor, RunCampaignOverloadMatchesOneShotFacade) {
-  auto config = base_config(40, 0xEB61);
-  const CampaignResult one_shot =
-      run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2), config);
-  Executor executor(4);
-  const CampaignResult shared =
-      run_campaign(random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
-                   corruption_of(2), config, executor);
-  expect_identical(one_shot, shared);
-}
-
 TEST(Executor, TakeMovesRetainedTracesWithoutCopying) {
   CampaignConfig config = base_config(12, 0xEB61);
   config.keep_traces = TraceRetention::kAll;
@@ -395,7 +371,6 @@ TEST(Executor, SweepProgressVetoCancelsTheWholeSweep) {
     SCOPED_TRACE(overlap ? "overlapping points" : "sequential points");
     Executor executor(2);
     SweepOptions options;
-    options.executor = &executor;
     options.overlap_points = overlap;
     std::atomic<int> calls{0};
     options.progress = [&](const SweepProgress& progress) {
@@ -404,7 +379,8 @@ TEST(Executor, SweepProgressVetoCancelsTheWholeSweep) {
       EXPECT_EQ(progress.total, 4096);
       return false;  // veto immediately
     };
-    const std::vector<CampaignResult> results = run_sweep(sweep, options);
+    const std::vector<CampaignResult> results =
+        run_sweep(sweep, executor, options);
     ASSERT_EQ(results.size(), 4u);
     EXPECT_GE(calls.load(), 1);
     long long executed = 0;

@@ -22,7 +22,7 @@
 #include "adversary/corruption.hpp"
 #include "adversary/omission.hpp"
 #include "core/factories.hpp"
-#include "sim/engine.hpp"
+#include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
 #include "util/rng.hpp"
 
@@ -325,15 +325,17 @@ struct CampaignRates {
 CampaignRates run_rates(const AdversaryBuilder& adversary, int max_rounds) {
   CampaignConfig config;
   config.runs = 300;
-  config.threads = 1;
   config.sim.max_rounds = max_rounds;
   config.base_seed = 0x5EED;
-  const auto result = CampaignEngine(config).run(
-      [](Rng& rng) { return random_values(9, 3, rng); },
-      [](const std::vector<Value>& init) {
-        return make_ate_instance(AteParams::canonical(9, 2), init);
-      },
-      adversary);
+  Executor executor(1);
+  const auto result =
+      executor
+          .submit([](Rng& rng) { return random_values(9, 3, rng); },
+                  [](const std::vector<Value>& init) {
+                    return make_ate_instance(AteParams::canonical(9, 2), init);
+                  },
+                  adversary, config)
+          .take();
   return {result.terminated,
           result.agreement_violations + result.integrity_violations +
               result.irrevocability_violations,

@@ -69,8 +69,9 @@ TEST(HoMachine, CampaignMergesPredicates) {
   config.base_seed = 77;
   // One extra predicate in the config; the machine appends its own two.
   config.predicates.push_back(std::make_shared<PBenign>());
+  Executor executor(2);
   const auto result = machine.campaign(
-      [](Rng& rng) { return random_values(9, 3, rng); }, config);
+      [](Rng& rng) { return random_values(9, 3, rng); }, config, executor);
   ASSERT_EQ(result.predicate_holds.size(), 3u);
   EXPECT_EQ(result.predicate_holds[0], 0);             // not benign
   EXPECT_EQ(result.predicate_holds[1], result.runs);   // P_alpha

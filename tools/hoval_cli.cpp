@@ -116,7 +116,8 @@ struct CliOptions {
       << "  --rounds R       horizon                          (default 50)\n"
       << "  --runs K         Monte-Carlo campaign size        (default 1)\n"
       << "  --seed S         base seed                        (default 1)\n"
-      << "  --threads W      campaign worker threads, 0=all cores (default 0)\n"
+      << "  --threads W      local worker pool size, 0=all cores (default:\n"
+      << "                   the document's campaign.threads, else 0)\n"
       << "  --batch-size B   runs claimed per pool task, 0=auto (default 0)\n"
       << "  --keep-traces P  retain run traces: none|violations|all\n"
       << "                   (default none)\n"
@@ -265,6 +266,23 @@ ScenarioSpec load_scenario(const CliOptions& options) {
   return spec;
 }
 
+/// The size of the invocation's one pool: --threads, or else the
+/// document's campaign.threads.  Checked here because a sweep's pool is
+/// built before run_sweep validates its points.
+int pool_threads(const CampaignKnobs& knobs) {
+  if (knobs.threads < 0)
+    throw ScenarioError("campaign.threads must be >= 0 (0 = all cores)");
+  return knobs.threads;
+}
+
+SweepSpec load_sweep(const CliOptions& options) {
+  SweepSpec sweep =
+      SweepSpec::from_json_text(read_file(options.sweep_file, "sweep"));
+  apply_overrides(options, sweep.base.campaign);
+  if (options.refine) sweep.refine.enabled = true;
+  return sweep;
+}
+
 /// The old CLI warned when the flags described a parameter choice outside
 /// the paper's theorems; the registries resolve thresholds now, so the
 /// check runs on the resolved context (covers --scenario documents too).
@@ -344,7 +362,7 @@ void write_json_file(const std::string& path, const Json& document) {
 }
 
 int run_many(ResolvedScenario resolved, bool progress,
-             const std::string& out_file = std::string()) {
+             const std::string& out_file, Executor& executor) {
   if (progress) {
     resolved.config.progress_batch = std::max(1, resolved.config.runs / 20);
     resolved.config.progress = [](const CampaignProgress& state) {
@@ -354,14 +372,17 @@ int run_many(ResolvedScenario resolved, bool progress,
       return true;
     };
   }
-  const CampaignEngine engine(resolved.config);
-  const auto result =
-      engine.run(resolved.values, resolved.instance, resolved.adversary);
-  std::cout << result.summary() << " [" << engine.threads() << " thread"
-            << (engine.threads() == 1 ? "" : "s") << "]\n";
-  if (resolved.config.keep_traces != TraceRetention::kNone)
+  const TraceRetention keep_traces = resolved.config.keep_traces;
+  const CampaignResult result =
+      executor
+          .submit(std::move(resolved.values), std::move(resolved.instance),
+                  std::move(resolved.adversary), std::move(resolved.config))
+          .take();
+  std::cout << result.summary() << " [" << executor.threads() << " thread"
+            << (executor.threads() == 1 ? "" : "s") << "]\n";
+  if (keep_traces != TraceRetention::kNone)
     std::cout << "retained " << result.traces.size() << " trace(s) ("
-              << to_string(resolved.config.keep_traces) << ")\n";
+              << to_string(keep_traces) << ")\n";
   for (const auto& violation : result.violations)
     std::cout << "  " << violation << "\n";
   if (!out_file.empty())
@@ -398,10 +419,7 @@ int run_connected(const CliOptions& options) {
     };
 
   if (!options.sweep_file.empty()) {
-    SweepSpec sweep =
-        SweepSpec::from_json_text(read_file(options.sweep_file, "sweep"));
-    apply_overrides(options, sweep.base.campaign);
-    if (options.refine) sweep.refine.enabled = true;
+    const SweepSpec sweep = load_sweep(options);
     const service::JobOutcome outcome =
         client.submit_sweep(sweep.to_json(), progress_fn);
     if (!outcome.ok) {
@@ -486,7 +504,8 @@ bool render_refined(const SweepSpec& sweep, const RefinedSweepResult& refined) {
   return all_clean;
 }
 
-int run_refined_file(const SweepSpec& sweep, const CliOptions& options) {
+int run_refined_file(const SweepSpec& sweep, const CliOptions& options,
+                     Executor& executor) {
   RefineDriverOptions hooks;
   if (options.progress)
     hooks.on_generation = [](int generation, std::size_t added,
@@ -496,7 +515,7 @@ int run_refined_file(const SweepSpec& sweep, const CliOptions& options) {
     };
   const auto start = std::chrono::steady_clock::now();
   const RefinedSweepResult refined =
-      run_refined_sweep(sweep, nullptr, std::move(hooks));
+      run_refined_sweep(sweep, &executor, std::move(hooks));
   const double seconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -509,13 +528,8 @@ int run_refined_file(const SweepSpec& sweep, const CliOptions& options) {
   return all_clean ? 0 : 1;
 }
 
-int run_sweep_file(const CliOptions& options) {
-  SweepSpec sweep =
-      SweepSpec::from_json_text(read_file(options.sweep_file, "sweep"));
-  apply_overrides(options, sweep.base.campaign);
-  if (options.refine) sweep.refine.enabled = true;
-  if (sweep.refine.enabled) return run_refined_file(sweep, options);
-
+int run_sweep_file(const SweepSpec& sweep, const CliOptions& options,
+                   Executor& executor) {
   SweepOptions execution;
   // Sequential is the default so per-point progress reads top to bottom;
   // --sweep-parallel overlaps points on the shared pool.  Every point's
@@ -534,7 +548,7 @@ int run_sweep_file(const CliOptions& options) {
     };
   }
   const auto sweep_start = std::chrono::steady_clock::now();
-  const auto results = run_sweep(sweep, execution);
+  const auto results = run_sweep(sweep, executor, execution);
   const double sweep_seconds = std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() -
                                    sweep_start)
@@ -634,6 +648,13 @@ int main(int argc, char** argv) {
                      "--connect\n";
         return 2;
       }
+      if (options.threads_set) {
+        // The daemon's pool is fixed by `hovald --threads`; here the flag
+        // would only change the spec bytes, and with them the cache key.
+        std::cerr << "error: --threads does not apply to --connect (the "
+                     "daemon's pool size is set by hovald --threads)\n";
+        return 2;
+      }
     }
     if ((!options.scenario_file.empty() || !options.sweep_file.empty()) &&
         !options.shape_flags.empty()) {
@@ -658,7 +679,11 @@ int main(int argc, char** argv) {
                      "apply to --sweep\n";
         return 2;
       }
-      return run_sweep_file(options);
+      const SweepSpec sweep = load_sweep(options);
+      Executor executor(pool_threads(sweep.base.campaign));
+      return sweep.refine.enabled
+                 ? run_refined_file(sweep, options, executor)
+                 : run_sweep_file(sweep, options, executor);
     }
 
     const ScenarioSpec spec = !options.scenario_file.empty()
@@ -677,7 +702,8 @@ int main(int argc, char** argv) {
     // written document matches what hovald serves for the same spec.
     if (spec.campaign.runs <= 1 && options.out_file.empty())
       return run_single(resolved, options.trace);
-    return run_many(resolved, options.progress, options.out_file);
+    Executor executor(pool_threads(spec.campaign));
+    return run_many(resolved, options.progress, options.out_file, executor);
   } catch (const ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

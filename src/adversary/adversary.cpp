@@ -91,6 +91,13 @@ void DeliveredRound::omit(ProcessId sender, ProcessId receiver) {
   altered_[static_cast<std::size_t>(receiver)].erase(sender);
 }
 
+void DeliveredRound::omit(ProcessId receiver, const ProcessSet& senders) {
+  HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
+  const auto p = static_cast<std::size_t>(receiver);
+  by_receiver[p].unset_many(senders);
+  altered_[p].subtract_with(senders);
+}
+
 void DeliveredRound::ground_truth_into(ProcessId receiver, ProcessSet& ho,
                                        ProcessSet& sho) const {
   HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");

@@ -94,8 +94,9 @@ class IntendedRound {
 /// a DeliveredRound keeps every receiver's contents.
 ///
 /// The round also tracks, per receiver, the set of *altered* links (put()
-/// compares against the intended round captured by assign_faithful), so
-/// the simulator's ground truth is pure word algebra: HO is the support of
+/// compares against the intended round captured by assign_faithful, and
+/// alter() is only handed messages that differ from it), so the
+/// simulator's ground truth is pure word algebra: HO is the support of
 /// the reception vector and SHO is HO minus the altered set — no per-link
 /// message comparison on the hot path.
 struct DeliveredRound {
@@ -123,17 +124,24 @@ struct DeliveredRound {
   /// Replaces what `receiver` gets from `sender`.
   void put(ProcessId sender, ProcessId receiver, Msg m);
 
-  /// put() for a message the caller guarantees differs from the intended
-  /// one (e.g. the output of corrupt_message) — skips the comparison
-  /// against the intended round on the corruption hot path.
-  void put_altered(ProcessId sender, ProcessId receiver, Msg m) {
-    HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
-    by_receiver[static_cast<std::size_t>(receiver)].set(sender, m);
-    altered_[static_cast<std::size_t>(receiver)].insert(sender);
-  }
-
   /// Drops the message from `sender` to `receiver` (omission fault).
   void omit(ProcessId sender, ProcessId receiver);
+
+  /// Replaces what `receiver` gets from every sender in `senders` with
+  /// msg_for(sender), called once per sender in ascending order.  Each
+  /// message must differ from the intended one (e.g. the output of
+  /// corrupt_message), so no comparison against the intended round is
+  /// made: all of `senders` join the altered set in one word operation.
+  template <typename MsgFor>
+  void alter(ProcessId receiver, const ProcessSet& senders, MsgFor&& msg_for) {
+    HOVAL_EXPECTS_MSG(receiver >= 0 && receiver < n(), "receiver out of universe");
+    const auto p = static_cast<std::size_t>(receiver);
+    by_receiver[p].set_many(senders, msg_for);
+    altered_[p].unite_with(senders);
+  }
+
+  /// Drops every message from `senders` to `receiver` in one batch.
+  void omit(ProcessId receiver, const ProcessSet& senders);
 
   /// Restores the faithful message on one link.
   void restore(const IntendedRound& intended, ProcessId sender, ProcessId receiver);
@@ -145,7 +153,8 @@ struct DeliveredRound {
                          ProcessSet& sho) const;
 
   /// Senders whose delivered entry differs from the intended one (AHO),
-  /// as maintained by put()/omit() since the last assign_faithful.
+  /// as maintained by put()/alter()/omit() since the last
+  /// assign_faithful.
   const ProcessSet& altered(ProcessId receiver) const;
 
   /// SHO(receiver): senders whose delivered message equals the intended

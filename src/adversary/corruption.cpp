@@ -43,10 +43,8 @@ void RandomCorruptionAdversary::apply(const IntendedRound& intended,
             ? budget
             : static_cast<int>(rng.range(1, static_cast<std::int64_t>(budget)));
     victim_scratch_.assign_random_subset(rng, count);
-    victim_scratch_.for_each([&](ProcessId sender) {
-      delivered.put_altered(
-          sender, p,
-          corrupt_message(intended.intended(sender, p), config_.policy, rng));
+    delivered.alter(p, victim_scratch_, [&](ProcessId sender) {
+      return corrupt_message(intended.intended(sender, p), config_.policy, rng);
     });
   });
 }

@@ -36,8 +36,7 @@ void RandomOmissionAdversary::apply(const IntendedRound& intended,
     if (max_omissions_per_receiver_ >= 0 &&
         victims > max_omissions_per_receiver_)
       victim_scratch_.keep_random_subset(rng, max_omissions_per_receiver_);
-    victim_scratch_.for_each(
-        [&](ProcessId q) { delivered.omit(q, p); });
+    delivered.omit(p, victim_scratch_);
   }
 }
 
@@ -55,17 +54,16 @@ std::string CrashAdversary::name() const {
 
 void CrashAdversary::reset(int n, Rng& rng) {
   HOVAL_EXPECTS_MSG(victims_ <= n, "more victims than processes");
-  victim_ids_.clear();
+  victim_set_ = ProcessSet(n);
   for (std::size_t idx : rng.sample(static_cast<std::size_t>(n),
                                     static_cast<std::size_t>(victims_)))
-    victim_ids_.push_back(static_cast<ProcessId>(idx));
+    victim_set_.insert(static_cast<ProcessId>(idx));
 }
 
 void CrashAdversary::apply(const IntendedRound& intended,
                            DeliveredRound& delivered, Rng& /*rng*/) {
   if (intended.round < crash_round_) return;
-  for (ProcessId victim : victim_ids_)
-    for (ProcessId p = 0; p < intended.n(); ++p) delivered.omit(victim, p);
+  for (ProcessId p = 0; p < intended.n(); ++p) delivered.omit(p, victim_set_);
 }
 
 }  // namespace hoval

@@ -59,7 +59,7 @@ class CrashAdversary final : public Adversary {
  private:
   int victims_;
   Round crash_round_;
-  std::vector<ProcessId> victim_ids_;
+  ProcessSet victim_set_;  ///< drawn at reset
 };
 
 }  // namespace hoval

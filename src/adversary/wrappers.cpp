@@ -125,16 +125,11 @@ void GoodRoundScheduler::apply(const IntendedRound& intended,
                                       static_cast<std::size_t>(pi1));
   const auto pi2_members = rng.sample(static_cast<std::size_t>(n),
                                       static_cast<std::size_t>(pi2));
-  std::vector<bool> in_pi2(static_cast<std::size_t>(n), false);
-  for (std::size_t q : pi2_members) in_pi2[q] = true;
-
-  for (std::size_t p_idx : pi1_members) {
-    const auto p = static_cast<ProcessId>(p_idx);
-    for (ProcessId q = 0; q < n; ++q) {
-      if (!in_pi2[static_cast<std::size_t>(q)]) delivered.omit(q, p);
-      // members of Pi^2 stay faithful: HO(p) = SHO(p) = Pi^2
-    }
-  }
+  // Members of Pi^2 stay faithful: HO(p) = SHO(p) = Pi^2.
+  ProcessSet outside_pi2 = ProcessSet::universe(n);
+  for (std::size_t q : pi2_members) outside_pi2.erase(static_cast<ProcessId>(q));
+  for (std::size_t p : pi1_members)
+    delivered.omit(static_cast<ProcessId>(p), outside_pi2);
 }
 
 // --------------------------------------------------------- CleanPhase (U)
@@ -189,11 +184,9 @@ void CleanPhaseScheduler::apply(const IntendedRound& intended,
   if (pi0 == n) return;  // Pi_0 = Pi: faithful delivery already matches
   const auto members = rng.sample(static_cast<std::size_t>(n),
                                   static_cast<std::size_t>(pi0));
-  std::vector<bool> in_pi0(static_cast<std::size_t>(n), false);
-  for (std::size_t q : members) in_pi0[q] = true;
-  for (ProcessId p = 0; p < n; ++p)
-    for (ProcessId q = 0; q < n; ++q)
-      if (!in_pi0[static_cast<std::size_t>(q)]) delivered.omit(q, p);
+  ProcessSet outside_pi0 = ProcessSet::universe(n);
+  for (std::size_t q : members) outside_pi0.erase(static_cast<ProcessId>(q));
+  for (ProcessId p = 0; p < n; ++p) delivered.omit(p, outside_pi0);
 }
 
 // -------------------------------------------------------------- SafetyClamp

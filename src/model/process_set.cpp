@@ -58,20 +58,6 @@ void ProcessSet::intersect_with(const ProcessSet& other) {
   for (std::size_t i = 0; i < block_count(); ++i) words[i] &= theirs[i];
 }
 
-void ProcessSet::unite_with(const ProcessSet& other) {
-  check_same_universe(other);
-  std::uint64_t* words = blocks();
-  const std::uint64_t* theirs = other.blocks();
-  for (std::size_t i = 0; i < block_count(); ++i) words[i] |= theirs[i];
-}
-
-void ProcessSet::subtract_with(const ProcessSet& other) {
-  check_same_universe(other);
-  std::uint64_t* words = blocks();
-  const std::uint64_t* theirs = other.blocks();
-  for (std::size_t i = 0; i < block_count(); ++i) words[i] &= ~theirs[i];
-}
-
 void ProcessSet::unite_with_difference(const ProcessSet& a,
                                        const ProcessSet& b) {
   check_same_universe(a);

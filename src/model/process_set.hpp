@@ -98,10 +98,21 @@ class ProcessSet {
   ProcessSet complement() const;
 
   /// In-place set algebra: *this becomes the intersection/union/difference
-  /// with `other` without constructing a new set.
+  /// with `other` without constructing a new set.  The union and difference
+  /// are inline: the delivery kernel's batch edits issue them per receiver.
   void intersect_with(const ProcessSet& other);
-  void unite_with(const ProcessSet& other);
-  void subtract_with(const ProcessSet& other);
+  void unite_with(const ProcessSet& other) {
+    HOVAL_EXPECTS_MSG(n_ == other.n_, "set operation across different universes");
+    std::uint64_t* words = blocks();
+    const std::uint64_t* theirs = other.blocks();
+    for (std::size_t i = 0; i < block_count(); ++i) words[i] |= theirs[i];
+  }
+  void subtract_with(const ProcessSet& other) {
+    HOVAL_EXPECTS_MSG(n_ == other.n_, "set operation across different universes");
+    std::uint64_t* words = blocks();
+    const std::uint64_t* theirs = other.blocks();
+    for (std::size_t i = 0; i < block_count(); ++i) words[i] &= ~theirs[i];
+  }
 
   /// *this ∪= (a \ b) in one word-parallel pass, without materialising the
   /// difference — the AHO-accumulation primitive (see HoRecord::aho()).

@@ -36,14 +36,15 @@ void PayloadCounts::remove_other(Value v) {
   if (--it->second == 0) others_.erase(it);
 }
 
-int PayloadCounts::count(Value v) const noexcept {
-  if (counted(v))
-    return (occupied_ >> v) & 1u ? counts_[v] : 0;
+int PayloadCounts::count_other(Value v) const noexcept {
   const auto it = lower_bound_value(others_, v);
   return it != others_.end() && it->first == v ? it->second : 0;
 }
 
 void PayloadCounts::assign(const PayloadCounts& other) {
+  for (std::uint64_t word = occupied_ & ~other.occupied_; word != 0;
+       word &= word - 1)
+    counts_[__builtin_ctzll(word)] = 0;
   occupied_ = other.occupied_;
   for (std::uint64_t word = occupied_; word != 0; word &= word - 1) {
     const int v = __builtin_ctzll(word);
@@ -141,6 +142,18 @@ void ReceptionVector::unset(ProcessId q) {
   slots_[i].reset();
   if (base_ != nullptr) overridden_.insert(q);
   present_.erase(q);
+}
+
+void ReceptionVector::unset_many(const ProcessSet& senders) {
+  HOVAL_EXPECTS_MSG(senders.universe_size() == universe_size(),
+                    "sender set must be over the vector's universe");
+  if (aggregates_current_) {  // always so for an owned vector
+    senders.for_each([&](ProcessId q) { unset(q); });
+    return;
+  }
+  senders.for_each([&](ProcessId q) { slots_[static_cast<std::size_t>(q)].reset(); });
+  overridden_.unite_with(senders);
+  present_.subtract_with(senders);
 }
 
 void ReceptionVector::merge_aggregates() const {

@@ -37,34 +37,38 @@ using PayloadHistogram = std::vector<std::pair<Value, int>>;
 /// value in [0, 64) plus a 64-bit occupancy word for ascending iteration.
 /// Any other value (negative, poison, far offsets) goes to a sorted flat
 /// vector; the path is chosen per value.
+///
+/// Invariant: counts_[v] == 0 wherever bit v of occupied_ is clear.
+/// clear() and assign() zero the counters they vacate, so add, remove and
+/// count read and write the counter without testing the occupancy bit.
 class PayloadCounts {
  public:
   void clear() noexcept {
+    for (std::uint64_t word = occupied_; word != 0; word &= word - 1)
+      counts_[__builtin_ctzll(word)] = 0;
     occupied_ = 0;
     others_.clear();
   }
 
   void add(Value v) {
     if (!counted(v)) return add_other(v);
-    const std::uint64_t bit = std::uint64_t{1} << v;
-    if (occupied_ & bit) {
-      ++counts_[v];
-    } else {
-      counts_[v] = 1;
-      occupied_ |= bit;
-    }
+    ++counts_[v];
+    occupied_ |= std::uint64_t{1} << v;
   }
 
   void remove(Value v) {
     if (!counted(v)) return remove_other(v);
-    const std::uint64_t bit = std::uint64_t{1} << v;
-    HOVAL_ENSURES_MSG((occupied_ & bit) != 0, "histogram out of step with slots");
-    if (--counts_[v] == 0) occupied_ &= ~bit;
+    HOVAL_ENSURES_MSG(counts_[v] > 0, "histogram out of step with slots");
+    --counts_[v];
+    occupied_ &= ~(static_cast<std::uint64_t>(counts_[v] == 0) << v);
   }
 
-  int count(Value v) const noexcept;
+  int count(Value v) const noexcept {
+    return counted(v) ? counts_[v] : count_other(v);
+  }
 
-  /// Copies `other`'s contents, touching only its occupied counters.
+  /// Copies `other`'s contents, touching only the counters occupied on
+  /// either side.
   void assign(const PayloadCounts& other);
 
   /// Calls fn(value, multiplicity) for every distinct value, ascending.
@@ -87,9 +91,10 @@ class PayloadCounts {
   }
   void add_other(Value v);
   void remove_other(Value v);
+  int count_other(Value v) const noexcept;
 
   std::uint64_t occupied_ = 0;  ///< bit v set iff value v in [0, 64) is present
-  int counts_[kCounted] = {};   ///< multiplicities, meaningful where occupied
+  int counts_[kCounted] = {};   ///< multiplicities; 0 where not occupied
   PayloadHistogram others_;     ///< values outside [0, 64), sorted
 };
 
@@ -136,6 +141,31 @@ class ReceptionVector {
 
   /// Removes the entry for `q` (models omission).
   void unset(ProcessId q);
+
+  /// set(q, msg_for(q)) for every q in `senders`, calling msg_for once per
+  /// sender in ascending order.  A bound vector whose aggregates are not
+  /// derived yet writes only the slots and marks the senders with one word
+  /// operation per set; an owned vector, or one whose aggregates are
+  /// current, takes the per-link set().
+  template <typename MsgFor>
+  void set_many(const ProcessSet& senders, MsgFor&& msg_for) {
+    HOVAL_EXPECTS_MSG(senders.universe_size() == universe_size(),
+                      "sender set must be over the vector's universe");
+    if (aggregates_current_) {  // always so for an owned vector
+      senders.for_each([&](ProcessId q) { set(q, msg_for(q)); });
+      return;
+    }
+    senders.for_each([&](ProcessId q) {
+      slots_[static_cast<std::size_t>(q)] = msg_for(q);
+    });
+    overridden_.unite_with(senders);
+    present_.unite_with(senders);
+  }
+
+  /// unset(q) for every q in `senders`, batched like set_many().  A sender
+  /// that was already absent may end up marked overridden with an empty
+  /// slot, which reads the same as its (empty) base slot.
+  void unset_many(const ProcessSet& senders);
 
   /// The entry for `q`, nullopt when nothing was received from q.
   const std::optional<Msg>& get(ProcessId q) const {

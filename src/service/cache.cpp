@@ -1,17 +1,43 @@
 #include "service/cache.hpp"
 
+#include <algorithm>
+
 #include "scenario/spec.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace hoval::service {
 
+namespace {
+
+/// Drops the campaign knobs that cannot change a result byte — the pool
+/// size and the run batch size (executor.hpp guarantees byte-identical
+/// results at any of either) — from a scenario document, so submissions
+/// that differ only in them share one cache entry.
+Json without_execution_knobs(Json scenario) {
+  if (Json* campaign = scenario.find("campaign")) {
+    Json::Object& members = campaign->members();
+    members.erase(std::remove_if(members.begin(), members.end(),
+                                 [](const Json::Member& member) {
+                                   return member.first == "threads" ||
+                                          member.first == "batch_size";
+                                 }),
+                  members.end());
+  }
+  return scenario;
+}
+
+}  // namespace
+
 std::string scenario_cache_key(const ScenarioSpec& spec) {
-  return "scenario\n" + spec.to_json().dump() +
+  return "scenario\n" + without_execution_knobs(spec.to_json()).dump() +
          "\nseed:" + std::to_string(spec.campaign.seed);
 }
 
 std::string sweep_cache_key(const SweepSpec& spec) {
-  return "sweep\n" + spec.to_json().dump() +
+  Json sweep = spec.to_json();
+  sweep.set("scenario", without_execution_knobs(sweep.at("scenario")));
+  return "sweep\n" + sweep.dump() +
          "\nseed:" + std::to_string(spec.base.campaign.seed);
 }
 

@@ -36,6 +36,9 @@ namespace hoval::service {
 /// part of the spec document already, but naming it separately keeps the
 /// seed-sensitivity contract explicit (and locked by tests/service/
 /// cache_test.cpp): same spec text with a different seed never aliases.
+/// `campaign.threads` and `campaign.batch_size` are left out of the key:
+/// results are byte-identical at any value of either, so a resubmission
+/// that differs only in them is a hit.
 std::string scenario_cache_key(const ScenarioSpec& spec);
 std::string sweep_cache_key(const SweepSpec& spec);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace hoval {
@@ -118,6 +121,69 @@ TEST(Reception, FractionalThresholdComparisons) {
   // 2 > 2*3/3 = 2 is false; 2 > 5/3 is true.
   EXPECT_FALSE(mu.payload_exceeding(MsgKind::kEstimate, 2.0).has_value());
   EXPECT_EQ(mu.payload_exceeding(MsgKind::kEstimate, 5.0 / 3.0), 1);
+}
+
+// --- PayloadCounts ----------------------------------------------------------
+
+/// Every counted value that is absent from `counts` must read 0; `present`
+/// lists the values (with multiplicities) that may be nonzero.
+void expect_absent_values_read_zero(
+    const PayloadCounts& counts, const std::vector<std::pair<Value, int>>& present) {
+  for (Value v = 0; v < 64; ++v) {
+    int want = 0;
+    for (const auto& [value, count] : present)
+      if (value == v) want = count;
+    EXPECT_EQ(counts.count(v), want) << "value " << v;
+  }
+}
+
+PayloadCounts counts_of(const std::vector<Value>& values) {
+  PayloadCounts counts;
+  for (const Value v : values) counts.add(v);
+  return counts;
+}
+
+TEST(PayloadCountsTest, ClearZeroesEveryCounter) {
+  PayloadCounts counts = counts_of({0, 3, 3, 63, 17, -5, 999});
+  counts.clear();
+  expect_absent_values_read_zero(counts, {});
+  EXPECT_EQ(counts.count(-5), 0);
+  EXPECT_EQ(counts.count(999), 0);
+  for (const Value v : {0, 3, 17, 63}) {
+    counts.add(v);
+    EXPECT_EQ(counts.count(v), 1) << "value " << v;
+  }
+}
+
+TEST(PayloadCountsTest, AssignFromASmallerSetZeroesVacatedCounters) {
+  PayloadCounts counts = counts_of({1, 1, 2, 9, 9, 9, 40, 70});
+  const PayloadCounts smaller = counts_of({2, 2, 5});
+  counts.assign(smaller);
+  expect_absent_values_read_zero(counts, {{2, 2}, {5, 1}});
+  EXPECT_EQ(counts.count(70), 0);
+  for (const Value v : {1, 9, 40}) {
+    counts.add(v);
+    EXPECT_EQ(counts.count(v), 1) << "value " << v;
+  }
+  // And from an empty set.
+  counts.assign(PayloadCounts{});
+  expect_absent_values_read_zero(counts, {});
+}
+
+TEST(PayloadCountsTest, RemovingDownToZeroLeavesNoResidue) {
+  PayloadCounts counts = counts_of({4, 4, 4, 0, 63});
+  for (int i = 0; i < 3; ++i) counts.remove(4);
+  counts.remove(63);
+  expect_absent_values_read_zero(counts, {{0, 1}});
+  counts.add(4);
+  counts.add(63);
+  EXPECT_EQ(counts.count(4), 1);
+  EXPECT_EQ(counts.count(63), 1);
+  std::vector<std::pair<Value, int>> listed;
+  counts.for_each([&](Value v, int count) { listed.emplace_back(v, count); });
+  EXPECT_EQ(listed, (std::vector<std::pair<Value, int>>{{0, 1}, {4, 1}, {63, 1}}));
+  // Removing an absent value is an invariant breach, not a silent wrap.
+  EXPECT_THROW(counts.remove(5), InvariantError);
 }
 
 }  // namespace

@@ -41,6 +41,26 @@ TEST(CacheKeys, ScenarioKeyIsCanonicalAndSeedSensitive) {
   EXPECT_NE(scenario_cache_key(more_runs), scenario_cache_key(spec));
 }
 
+TEST(CacheKeys, PoolAndBatchSizeKnobsStayOutOfTheKeys) {
+  // Results are byte-identical at any thread count and batch size
+  // (executor.hpp), so neither knob may split one experiment's entry.
+  const ScenarioSpec spec = demo_spec();
+  ScenarioSpec tuned = demo_spec();
+  tuned.campaign.threads = 8;
+  tuned.campaign.batch_size = 7;
+  EXPECT_EQ(scenario_cache_key(tuned), scenario_cache_key(spec));
+  EXPECT_EQ(scenario_cache_key(spec).find("threads"), std::string::npos);
+
+  SweepSpec sweep;
+  sweep.base = spec;
+  sweep.axes.push_back(
+      SweepAxis::single("algorithm.params.alpha", {Json(0), Json(1)}));
+  SweepSpec tuned_sweep = sweep;
+  tuned_sweep.base = tuned;
+  EXPECT_EQ(sweep_cache_key(tuned_sweep), sweep_cache_key(sweep));
+  EXPECT_EQ(sweep_cache_key(tuned_sweep).find("batch_size"), std::string::npos);
+}
+
 TEST(CacheKeys, ScenarioAndSweepKeysNeverAlias) {
   // A one-point sweep over a spec is a different computation shape (array
   // result vs object result); the kind tag must keep the keys apart.

@@ -273,6 +273,26 @@ TEST(Daemon, ParamAuthoringOrderHitsTheSameCacheEntry) {
   EXPECT_EQ(repeat.result.dump(), first.result.dump());
 }
 
+TEST(Daemon, PoolAndBatchSizeKnobsHitTheSameCacheEntry) {
+  // Results are byte-identical at any thread count or batch size, so a
+  // resubmission that differs only in those knobs must be a hit — not a
+  // second execution stored under a second key.
+  ServerFixture fixture({});
+  ServiceClient client(fixture.address());
+  const ScenarioSpec spec = small_spec(10);
+  const JobOutcome first = client.submit_scenario(spec.to_json());
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.cache_hit);
+  ScenarioSpec eight_threads = spec;
+  eight_threads.campaign.threads = 8;
+  eight_threads.campaign.batch_size = 3;
+  const JobOutcome repeat = client.submit_scenario(eight_threads.to_json());
+  ASSERT_TRUE(repeat.ok) << repeat.error;
+  EXPECT_TRUE(repeat.cache_hit);
+  EXPECT_EQ(repeat.result.dump(), first.result.dump());
+  EXPECT_EQ(fixture.server().stats().cache_misses, 1u);
+}
+
 TEST(Daemon, TinyCacheBudgetNeverHitsButStillServes) {
   ServerConfig config;
   config.cache_bytes = 8;  // smaller than any key: nothing is cacheable

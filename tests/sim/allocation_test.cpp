@@ -79,7 +79,7 @@ class CountScope {
 /// Corruption garbles EVERY link (alpha = n, p = 1, kGarbage strips the
 /// payload), then omission drops up to two links per receiver — together
 /// they exercise the whole kernel (Bernoulli masks, Floyd draws, the cap
-/// trim, put_altered, omit) while guaranteeing that no process can ever
+/// trim, batched alter and omit) while guaranteeing that no process can ever
 /// decide: an estimate histogram with no payloads yields no decision
 /// candidate, so the round loop stays free of decision-recording
 /// allocations by construction.

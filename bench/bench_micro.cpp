@@ -238,11 +238,12 @@ double measured_sweep_seconds(bool overlap_points) {
 }
 
 /// Times the same 8-point sweep sharded over worker *processes* (forked
-/// in-process workers, one executor thread each — the hoval_dispatch
-/// default).  The merged results are bit-identical to run_sweep, so this
-/// isolates the cost/benefit of crossing a process boundary: fork + one
-/// spec/result JSON round trip per point against true multi-core
-/// parallelism without shared-pool contention.
+/// backends, each a service::Server with one executor thread — the
+/// hoval_dispatch default).  The merged results are bit-identical to
+/// run_sweep, so this isolates the cost/benefit of crossing a process
+/// boundary: fork + one spec/result JSON round trip per point + up to one
+/// 10 ms completion tick of the backend's Server per point, against true
+/// multi-core parallelism without shared-pool contention.
 double measured_dispatch_seconds(int workers) {
   dispatch::DispatchOptions options;
   options.workers = workers;

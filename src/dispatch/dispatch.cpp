@@ -13,13 +13,15 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "scenario/run.hpp"
+#include "service/protocol.hpp"
+#include "service/server.hpp"
 #include "sim/result_json.hpp"
 #include "util/format.hpp"
 
@@ -34,12 +36,30 @@ void set_cloexec(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
+/// Runs a forked backend: a service::Server on the child's end of the
+/// socketpair, deadlines off because the dispatcher owns its lifetime.
+/// Never returns.
+[[noreturn]] void serve_forked_backend(int fd, int threads) {
+  int rc = 0;
+  try {
+    service::ServerConfig config;
+    config.executor_threads = threads;
+    config.hello_timeout_ms = 0;
+    config.idle_timeout_ms = 0;
+    service::Server(std::move(config), fd).run();
+  } catch (...) {
+    rc = 1;  // diagnostic only: the host treats any exit as a lost worker
+  }
+  std::_Exit(rc);
+}
+
 struct WorkerProc {
   int slot = -1;  ///< spawn sequence number (initial workers: 0..N-1)
   pid_t pid = -1;
-  int to_fd = -1;    ///< host -> worker point frames
-  int from_fd = -1;  ///< worker -> host result frames
+  int fd = -1;  ///< host end of the socketpair the backend serves
   FrameDecoder decoder;
+  bool hello_sent = false;
+  bool greeted = false;    ///< the backend's hello arrived
   int current_point = -1;  ///< in-flight point, -1 when idle
   int results_delivered = 0;
   Clock::time_point assigned_at{};
@@ -123,35 +143,25 @@ class Dispatcher {
   // --- spawning ------------------------------------------------------------
 
   WorkerProc* spawn() {
-    int to_pipe[2], from_pipe[2];
-    if (::pipe(to_pipe) != 0)
-      throw DispatchError(std::string("pipe: ") + std::strerror(errno));
-    if (::pipe(from_pipe) != 0) {
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      throw DispatchError(std::string("pipe: ") + std::strerror(errno));
-    }
-    // Host-side ends must not leak into later-spawned siblings.
-    set_cloexec(to_pipe[1]);
-    set_cloexec(from_pipe[0]);
+    int ends[2];  // [0]: the host end, [1]: the backend's connection
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ends) != 0)
+      throw DispatchError(std::string("socketpair: ") + std::strerror(errno));
+    // The host end must not leak into later-spawned siblings.
+    set_cloexec(ends[0]);
 
     // Everything the child touches is prepared pre-fork: the child of a
     // (possibly multithreaded) host must stick to async-signal-safe calls
     // plus exec.
     //
     // FD_CLOEXEC only applies across exec, so the fork-without-exec child
-    // inherits the host-side pipe ends of every already-live sibling.  If
-    // they stayed open, a worker's stdin would only see EOF once every
-    // later-spawned sibling had exited too (a newest-to-oldest cascade
-    // that one wedged worker stalls forever).  Collect them here and close
-    // them in the child — ::close is async-signal-safe.
+    // inherits the host ends of every already-live sibling.  If they
+    // stayed open, a backend would only see EOF once every later-spawned
+    // sibling had exited too (a newest-to-oldest cascade that one wedged
+    // backend stalls forever).  Collect them here and close them in the
+    // child — ::close is async-signal-safe.
     std::vector<int> sibling_fds;
-    sibling_fds.reserve(live_.size() * 2);
-    for (const auto& other : live_) {
-      sibling_fds.push_back(other->to_fd);
-      sibling_fds.push_back(other->from_fd);
-    }
-    const std::string threads_env = std::to_string(options_.worker_threads);
+    sibling_fds.reserve(live_.size());
+    for (const auto& other : live_) sibling_fds.push_back(other->fd);
     std::vector<std::string> argv_storage = options_.worker_argv;
     std::vector<char*> argv;
     for (std::string& arg : argv_storage) argv.push_back(arg.data());
@@ -159,43 +169,29 @@ class Dispatcher {
 
     const pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      ::close(from_pipe[0]);
-      ::close(from_pipe[1]);
+      ::close(ends[0]);
+      ::close(ends[1]);
       throw DispatchError(std::string("fork: ") + std::strerror(errno));
     }
     if (pid == 0) {
-      ::dup2(to_pipe[0], 0);
-      ::dup2(from_pipe[1], 1);
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      ::close(from_pipe[0]);
-      ::close(from_pipe[1]);
+      ::close(ends[0]);
       for (const int fd : sibling_fds) ::close(fd);
-      if (!argv_storage.empty()) {
-        ::setenv("HOVAL_WORKER_THREADS", threads_env.c_str(), 1);
-        ::execvp(argv[0], argv.data());
-        std::_Exit(127);  // exec failed
+      if (argv_storage.empty())
+        serve_forked_backend(ends[1], options_.worker_threads);
+      // inetd-style: the exec'd backend serves the socket on fd 0.
+      if (ends[1] != 0) {
+        ::dup2(ends[1], 0);
+        ::close(ends[1]);
       }
-      // 4 = run_worker_loop threw (see worker.hpp for codes 0-3); the host
-      // treats any nonzero code as a dead worker, so the distinction is
-      // purely diagnostic.
-      int rc = 4;
-      try {
-        rc = run_worker_loop(0, 1, options_.worker_threads);
-      } catch (...) {
-      }
-      std::_Exit(rc);
+      ::execvp(argv[0], argv.data());
+      std::_Exit(127);  // exec failed
     }
-    ::close(to_pipe[0]);
-    ::close(from_pipe[1]);
+    ::close(ends[1]);
 
     auto worker = std::make_unique<WorkerProc>();
     worker->slot = next_slot_++;
     worker->pid = pid;
-    worker->to_fd = to_pipe[1];
-    worker->from_fd = from_pipe[0];
+    worker->fd = ends[0];
     ++report_.workers_spawned;
     log("worker " + std::to_string(worker->slot) + ": spawned (pid " +
         std::to_string(pid) + ")");
@@ -254,11 +250,15 @@ class Dispatcher {
     ++attempts_[static_cast<std::size_t>(point)];
     worker.current_point = point;
     worker.assigned_at = Clock::now();
-    if (!write_frame(worker.to_fd,
-                     encode_point_message(
-                         point, sweep_.expand_point(
-                                    static_cast<std::size_t>(point))
-                                    .to_json()))) {
+    // The point index is the job id; the first submit rides with hello.
+    std::string frames;
+    if (!worker.hello_sent) frames = encode_frame(service::encode_hello());
+    worker.hello_sent = true;
+    frames += encode_frame(service::encode_submit(
+        point, /*sweep=*/false,
+        sweep_.expand_point(static_cast<std::size_t>(point)).to_json(),
+        /*progress=*/false));
+    if (!write_all(worker.fd, frames.data(), frames.size())) {
       fail_worker(worker, Loss::kWriteFailed, "write to worker failed");
       return Assign::kWorkerLost;
     }
@@ -293,8 +293,10 @@ class Dispatcher {
   /// in-flight point, arm the crash-loop backoff, refill the pool.
   /// `worker` is destroyed.
   void fail_worker(WorkerProc& worker, Loss kind, const std::string& detail) {
-    ::close(worker.to_fd);
-    ::close(worker.from_fd);
+    ::close(worker.fd);
+    // A backend that broke the protocol may still be running; it must not
+    // hold up the reap below.
+    if (kind == Loss::kBadFrame) ::kill(worker.pid, SIGKILL);
     int status = 0;
     ::waitpid(worker.pid, &status, 0);  // SIGKILLed/EOF'd children exit soon
     const pid_t pid = worker.pid;
@@ -417,7 +419,7 @@ class Dispatcher {
     std::vector<pid_t> pids;
     fds.reserve(live_.size());
     for (const auto& worker : live_) {
-      fds.push_back({worker->from_fd, POLLIN, 0});
+      fds.push_back({worker->fd, POLLIN, 0});
       pids.push_back(worker->pid);
     }
     const int timeout_ms = next_timeout_ms();
@@ -491,7 +493,7 @@ class Dispatcher {
 
   void handle_readable(WorkerProc& worker) {
     char buffer[64 * 1024];
-    const ssize_t n = read_some(worker.from_fd, buffer, sizeof(buffer));
+    const ssize_t n = read_some(worker.fd, buffer, sizeof(buffer));
     if (n < 0) {
       fail_worker(worker, Loss::kReadError, std::strerror(errno));
       return;
@@ -511,33 +513,63 @@ class Dispatcher {
     }
   }
 
+  /// Why `message` ends the backend's connection, or empty when it is a
+  /// frame the dispatcher expects: the backend's hello first, then frames
+  /// for the in-flight point only.  A connection-level or retryable error
+  /// is a lost backend too; resubmission is the dispatcher's one retry.
+  static std::string protocol_violation(const WorkerProc& worker,
+                                        const service::ServerMessage& message) {
+    using Type = service::ServerMessage::Type;
+    if (message.type == Type::kHello) {
+      if (worker.greeted) return "duplicate hello";
+      if (message.version != service::kProtocolVersion)
+        return "protocol version mismatch: backend speaks " +
+               std::to_string(message.version) + ", dispatcher " +
+               std::to_string(service::kProtocolVersion);
+      return "";
+    }
+    if (!worker.greeted) return "first frame must be the backend's hello";
+    if (message.type == Type::kError && message.id < 0)
+      return "backend reported: " + message.what;
+    if (message.id != worker.current_point)
+      return "unexpected frame for point " + std::to_string(message.id);
+    if (message.type == Type::kError && message.retry_after_ms >= 0)
+      return "backend shed the point (retry_after_ms=" +
+             std::to_string(message.retry_after_ms) + "): " + message.what;
+    return "";
+  }
+
   /// Returns false when the frame failed the worker (stop touching it).
   bool handle_frame(WorkerProc& worker, const std::string& frame) {
-    WireMessage message;
+    using Type = service::ServerMessage::Type;
+    service::ServerMessage message;
     try {
-      message = parse_message(frame);
-    } catch (const WireError& e) {
+      message = service::parse_server_message(frame);
+    } catch (const service::ServiceError& e) {
       fail_worker(worker, Loss::kBadFrame, e.what());
       return false;
     }
-    if (message.type == WireMessage::Type::kPoint ||
-        message.index != worker.current_point) {
-      fail_worker(worker, Loss::kBadFrame,
-                  "protocol violation (unexpected frame for point " +
-                      std::to_string(message.index) + ")");
+    if (const std::string violation = protocol_violation(worker, message);
+        !violation.empty()) {
+      fail_worker(worker, Loss::kBadFrame, violation);
       return false;
     }
+    if (message.type == Type::kHello) {
+      worker.greeted = true;
+      return true;
+    }
+    if (message.type == Type::kProgress) return true;  // never requested
     const int point = worker.current_point;
     const auto index = static_cast<std::size_t>(point);
     worker.current_point = -1;
 
-    if (message.type == WireMessage::Type::kError) {
+    if (message.type == Type::kError) {
       // Deterministic point failure: retrying it on another worker would
       // fail identically — quarantine now, with the worker's diagnostic.
       quarantine(point, "worker reported: " + message.what);
     } else {
       try {
-        report_.results[index] = campaign_result_from_json(message.body);
+        report_.results[index] = campaign_result_from_json(message.result);
       } catch (const JsonError& e) {
         worker.current_point = point;  // still this worker's failure
         fail_worker(worker, Loss::kBadFrame,
@@ -560,12 +592,11 @@ class Dispatcher {
   // --- teardown ------------------------------------------------------------
 
   void shutdown_workers() {
-    // EOF on stdin is the shutdown signal; every live worker is idle by
-    // now (the loop only ends when no point is in flight), so each exits
-    // its read loop promptly.
-    for (const auto& worker : live_) ::close(worker->to_fd);
+    // Hanging up is the shutdown signal; every live backend is idle by now
+    // (the loop only ends when no point is in flight), so each one's
+    // Server::run returns promptly.
+    for (const auto& worker : live_) ::close(worker->fd);
     for (const auto& worker : live_) {
-      ::close(worker->from_fd);
       int status = 0;
       ::waitpid(worker->pid, &status, 0);
     }

@@ -1,13 +1,18 @@
 #pragma once
 
 /// \file dispatch.hpp
-/// Cross-process sweep sharding: the host half of the dispatch protocol.
+/// Cross-process sweep sharding over hovald backends.
 ///
 /// dispatch_sweep() resolves a SweepSpec into its point list (the same
-/// expand() order as run_sweep), spawns N worker processes, streams one
-/// serialised ScenarioSpec point at a time to each worker over a pipe
-/// (dispatch/wire.hpp), and merges the returned CampaignResult documents
-/// host-side in point order.  Every point's campaign derives all its
+/// expand() order as run_sweep), spawns N backend processes, each a
+/// service::Server serving one end of a socketpair, and submits one
+/// ScenarioSpec point at a time to each.  It speaks the hovald protocol
+/// (service/protocol.hpp: hello, then submit/result/error with id = point
+/// index) in dispatch/wire.hpp frames, and merges the returned
+/// CampaignResult documents host-side in point order.  A backend is either
+/// a forked child that builds the Server in-process, or an exec'd command
+/// that serves the socket on fd 0, such as `hovald --stdio --threads 1`.
+/// Every point's campaign derives all its
 /// randomness from the point's own spec (per-point seeds via
 /// SweepSpec::reseed_per_point / swept "campaign.seed" axes, per-run
 /// derived_seed inside the campaign), so *placement is irrelevant*: which
@@ -21,13 +26,15 @@
 ///
 /// Fault tolerance mirrors the paper's theme of tolerating corrupted
 /// communication: a worker is an unreliable link.  A worker that exits,
-/// crashes, is killed, or times out mid-point has its in-flight point
-/// resubmitted to a surviving worker (and the pool is refilled by
-/// respawning, within a budget); a point that keeps killing workers is
-/// *quarantined* after max_point_attempts — reported with its diagnostic,
-/// never retried forever.  A point whose campaign fails deterministically
-/// (the worker reports an error frame rather than dying) is quarantined
-/// immediately.  DispatchReport carries the full accounting:
+/// crashes, is killed, times out mid-point, or breaks the protocol (a
+/// corrupt frame, a connection-level or retryable error, a frame for a
+/// point it does not hold) has its in-flight point resubmitted to a
+/// surviving worker (and the pool is refilled by respawning, within a
+/// budget); a point that keeps killing workers is *quarantined* after
+/// max_point_attempts — reported with its diagnostic, never retried
+/// forever.  A point whose campaign fails deterministically (a
+/// non-retryable error frame for it) is quarantined immediately.
+/// DispatchReport carries the full accounting:
 /// resubmissions, worker deaths, respawns, quarantined points.
 
 #include <functional>
@@ -39,7 +46,7 @@
 
 namespace hoval::dispatch {
 
-/// Thrown on host-side setup failures (pipe/fork exhaustion, invalid
+/// Thrown on host-side setup failures (socketpair/fork exhaustion, invalid
 /// options) — not on worker failures, which the dispatcher tolerates.
 class DispatchError : public std::runtime_error {
  public:
@@ -49,14 +56,16 @@ class DispatchError : public std::runtime_error {
 struct DispatchOptions {
   /// Worker processes to keep alive while points remain.
   int workers = 1;
-  /// Executor threads inside each worker (HOVAL_WORKER_THREADS for exec'd
-  /// workers).  Default 1: N processes x 1 thread saturates N cores
-  /// without oversubscription; results are bit-identical at any value.
+  /// Executor threads inside each forked backend (an exec'd command sets
+  /// its own, e.g. `--threads 1`).  Default 1: N processes x 1 thread
+  /// saturates N cores without oversubscription; results are
+  /// bit-identical at any value.
   int worker_threads = 1;
-  /// Command to exec as the worker (e.g. {"./hoval_cli", "--worker"}).
-  /// Empty: fork a child that runs run_worker_loop() in-process — the
-  /// default for tools that link the library, and the only mode that needs
-  /// no binary path plumbing.
+  /// Command to exec as the backend, serving the socket on fd 0 (e.g.
+  /// {"./hovald", "--stdio", "--threads", "1"}).  Empty: fork a child that
+  /// builds the service::Server in-process — the default for tools that
+  /// link the library, and the only mode that needs no binary path
+  /// plumbing.
   std::vector<std::string> worker_argv;
   /// A point is quarantined after this many attempts end in worker death.
   int max_point_attempts = 3;
@@ -78,8 +87,8 @@ struct DispatchOptions {
   /// given a longer leash before each retry instead of being quarantined
   /// by identical timeouts.
   double point_timeout_seconds = 0.0;
-  /// Test hook (satellite of the worker-kill CI step): SIGKILL the
-  /// worker in this slot immediately after its first point assignment —
+  /// Test hook (the worker-kill CI step's `--test-kill-worker`): SIGKILL
+  /// the worker in this slot immediately after its first point assignment —
   /// a deterministic kill with a guaranteed in-flight point, so the run
   /// can only finish by resubmitting it to a survivor.  -1 disables.
   int test_kill_worker = -1;

@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file wire.hpp
-/// The dispatch wire format: length-prefixed frames over a byte stream
-/// (pipe or socket), each carrying one JSON protocol message.
+/// The wire framing under every hoval transport: length-prefixed,
+/// checksummed frames over a byte stream.  Each frame carries one hovald
+/// protocol message (service/protocol.hpp), whether the peer is a hovald
+/// client or a hoval_dispatch backend.
 ///
 /// Framing: every frame is a 4-byte little-endian payload length, a
 /// 4-byte little-endian CRC-32 of the payload (runtime/crc32.hpp — the
@@ -17,16 +19,6 @@
 /// mid-frame is detectable via pending_bytes(), so a killed peer's
 /// half-written frame is a diagnosed truncation, never a silently
 /// misparsed payload.
-///
-/// Protocol messages (one JSON object per frame, "type"-tagged):
-///   host -> worker   {"type": "point", "index": k, "scenario": {...}}
-///   worker -> host   {"type": "result", "index": k, "result": {...}}
-///   worker -> host   {"type": "error", "index": k, "what": "..."}
-/// The host signals shutdown by closing the worker's input (EOF), not by a
-/// message — a dead host and a finished host look the same to a worker.
-/// parse_message() validates strictly (unknown types, missing fields and
-/// type mismatches throw WireError) so garbage payloads are rejected,
-/// never accepted-then-misparsed.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,19 +27,17 @@
 #include <string>
 #include <string_view>
 
-#include "util/json.hpp"
-
 namespace hoval::dispatch {
 
-/// Thrown on malformed frames (oversized length prefix) and malformed
-/// protocol messages (non-JSON payloads, unknown/missing fields).
+/// Thrown on malformed frames: an oversized length prefix, a checksum
+/// mismatch, or a stream that ends mid-frame.
 class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Hard cap on one frame's payload.  Far above any real message (a point
-/// spec is ~1 KB, a merged result a few KB), so hitting it means the
+/// Hard cap on one frame's payload.  Far above any real message (a
+/// scenario spec is ~1 KB, a sweep result a few KB), so hitting it means the
 /// length prefix is garbage — reject before trusting it with an
 /// allocation.
 constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
@@ -93,22 +83,5 @@ bool write_frame(int fd, std::string_view payload);
 /// error; \throws WireError when the stream ends mid-frame or a length
 /// prefix is corrupt.
 std::optional<std::string> read_frame(int fd, FrameDecoder& decoder);
-
-/// One parsed protocol message (see the file comment for the schema).
-struct WireMessage {
-  enum class Type { kPoint, kResult, kError };
-  Type type = Type::kError;
-  int index = -1;    ///< sweep point index
-  Json body;         ///< "scenario" (kPoint) or "result" (kResult) document
-  std::string what;  ///< kError diagnostic
-};
-
-std::string encode_point_message(int index, const Json& scenario);
-std::string encode_result_message(int index, const Json& result);
-std::string encode_error_message(int index, const std::string& what);
-
-/// Parses and validates one frame payload.  \throws WireError on anything
-/// but a well-formed protocol message.
-WireMessage parse_message(std::string_view payload);
 
 }  // namespace hoval::dispatch

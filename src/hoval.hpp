@@ -22,15 +22,15 @@
 ///               hunting on the shared Executor (RefinementDriver)
 ///   sim/        deterministic round simulator, consensus checkers,
 ///               Monte-Carlo campaigns
-///   dispatch/   cross-process sweep sharding: length-prefixed wire
-///               protocol, EINTR-safe stream helpers, worker loop,
-///               fault-tolerant host dispatcher
+///   dispatch/   cross-process sweep sharding: CRC-checked wire
+///               framing, EINTR-safe stream helpers, the fault-tolerant
+///               dispatcher over hovald backends
 ///   service/    hovald campaign-as-a-service daemon: framed JSON job
 ///               protocol, fair-share scheduler, spec-hash result cache,
 ///               poll-loop server and synchronous client
 ///   runtime/    threaded message-passing substrate with wire-level
 ///               fault injection and CRC framing
-///   stats/      descriptive statistics and histograms
+///   stats/      descriptive statistics and Wilson intervals
 ///   util/       contracts, deterministic RNG, tables, CSV, logging,
 ///               seeded syscall-level fault injection (chaos testing)
 
@@ -52,7 +52,6 @@
 #include "dispatch/dispatch.hpp"
 #include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "model/message.hpp"
 #include "model/process.hpp"
 #include "model/process_set.hpp"
@@ -85,7 +84,6 @@
 #include "sim/trace_retention.hpp"
 #include "sim/workspace.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 #include "stats/interval.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"

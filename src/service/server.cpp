@@ -169,6 +169,16 @@ struct Server::Impl {
     set_nonblocking(listener.fd());
   }
 
+  /// No listener: the loop serves `connected_fd` alone and ends with it.
+  Impl(ServerConfig cfg, int connected_fd)
+      : config(std::move(cfg)),
+        cache(config.cache_bytes),
+        executor(config.executor_threads) {
+    if (config.max_active_jobs < 1) config.max_active_jobs = 1;
+    policy.small_job_cost = config.small_job_runs;
+    add_client(connected_fd);
+  }
+
   void log(const std::string& line) {
     if (config.log) config.log(line);
   }
@@ -538,12 +548,16 @@ struct Server::Impl {
         if (errno == EINTR) continue;
         return;  // EAGAIN or a transient accept failure: poll again
       }
-      set_nonblocking(fd);
-      clients_accepted.fetch_add(1, std::memory_order_relaxed);
-      Client& client = clients.emplace(fd, Client{}).first->second;
-      client.connected_at = client.last_input = Client::Clock::now();
-      log("client " + std::to_string(fd) + " connected");
+      add_client(fd);
     }
+  }
+
+  void add_client(int fd) {
+    set_nonblocking(fd);
+    clients_accepted.fetch_add(1, std::memory_order_relaxed);
+    Client& client = clients.emplace(fd, Client{}).first->second;
+    client.connected_at = client.last_input = Client::Clock::now();
+    log("client " + std::to_string(fd) + " connected");
   }
 
   void disconnect(int fd) {
@@ -608,7 +622,12 @@ struct Server::Impl {
         client.decoder.feed(buffer, static_cast<std::size_t>(n));
         continue;
       }
-      if (n == 0) return false;  // orderly shutdown from the client
+      if (n == 0) {  // orderly shutdown from the client
+        // A half-closed peer can still read why its last frame was lost.
+        if (client.decoder.pending_bytes() > 0)
+          fatal_protocol_error(fd, client, "stream ended mid-frame");
+        return false;
+      }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return false;
@@ -706,7 +725,9 @@ struct Server::Impl {
     dispatch::ScopedSigpipeIgnore sigpipe;
     std::vector<pollfd> fds;
     std::vector<std::pair<int, short>> client_events;
-    while (!stop_flag.load(std::memory_order_acquire)) {
+    // Without a listener the one adopted connection is the server's life.
+    while (!stop_flag.load(std::memory_order_acquire) &&
+           (listener.valid() || !clients.empty())) {
       fds.clear();
       fds.push_back(pollfd{listener.fd(), POLLIN, 0});
       fds.push_back(pollfd{wake.read_fd, POLLIN, 0});
@@ -789,6 +810,9 @@ struct Server::Impl {
 
 Server::Server(ServerConfig config)
     : impl_(std::make_unique<Impl>(std::move(config))) {}
+
+Server::Server(ServerConfig config, int connected_fd)
+    : impl_(std::make_unique<Impl>(std::move(config), connected_fd)) {}
 
 Server::~Server() = default;
 

@@ -3,7 +3,9 @@
 /// \file server.hpp
 /// hovald's campaign service: a single-threaded poll loop accepting
 /// wire-framed protocol messages (service/protocol.hpp) over a Unix or
-/// TCP socket (service/socket.hpp), scheduling submitted scenarios and
+/// TCP socket (service/socket.hpp) — or over one adopted, already
+/// connected socket (`hovald --stdio` and every hoval_dispatch backend,
+/// dispatch/dispatch.hpp) — scheduling submitted scenarios and
 /// sweeps onto one shared persistent Executor, and streaming results —
 /// and, on request, batched progress — back per client.
 ///
@@ -91,11 +93,17 @@ class Server {
   /// and spins up the executor pool.  \throws ServiceError on bind
   /// failure.
   explicit Server(ServerConfig config);
+  /// Serves one already-connected stream socket instead of listening
+  /// (`hovald --stdio`, the dispatcher's backends).  Takes ownership of
+  /// `connected_fd`; config.address is ignored and address() is empty.
+  /// run() returns once that connection is gone, as well as on stop().
+  Server(ServerConfig config, int connected_fd);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Runs the event loop until stop(); call at most once.  On return all
+  /// Runs the event loop until stop() (or, on an adopted connection,
+  /// until the peer is gone); call at most once.  On return all
   /// connections are closed and all in-flight campaigns cancelled and
   /// drained.
   void run();
@@ -105,7 +113,8 @@ class Server {
   /// should call.
   void stop();
 
-  /// The effective listen address (the bound port when :0 was requested).
+  /// The effective listen address (the bound port when :0 was requested);
+  /// empty on an adopted connection.
   const std::string& address() const;
 
   /// Snapshot of the counters; callable from any thread.

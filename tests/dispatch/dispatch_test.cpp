@@ -3,10 +3,10 @@
 /// mid-sweep worker kill with resubmission — and worker failures degrade
 /// into diagnosed quarantines, never hangs or wrong answers.
 ///
-/// The default workers here are fork()ed children running the worker loop
-/// in-process (no binary paths to plumb); the exec path is covered by the
-/// CI dispatch-smoke steps, which drive the installed hoval_dispatch and
-/// hoval_cli --worker binaries against each other.
+/// The default backends here are fork()ed children that build a
+/// service::Server in-process (no binary paths to plumb); one case execs
+/// the built `hovald --stdio` instead.  The Server's side of the
+/// conversation on an adopted socket is tested in daemon_test.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +15,12 @@
 #include <vector>
 
 #include "dispatch/dispatch.hpp"
-#include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "sim/executor.hpp"
 #include "sim/result_json.hpp"
 #include "util/faults.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 namespace hoval::dispatch {
@@ -299,80 +296,49 @@ TEST(Dispatch, CrashLoopRespawnsAreBackedOffNotHotSpun) {
   EXPECT_TRUE(backoff_logged);
 }
 
-// --- the worker loop, driven synchronously through pipes -------------------
-
-struct Pipe {
-  int fds[2] = {-1, -1};
-  Pipe() { EXPECT_EQ(::pipe(fds), 0); }
-  ~Pipe() {
-    for (const int fd : fds)
-      if (fd >= 0) ::close(fd);
+TEST(Dispatch, ExecdHovaldBackendsMergeBitIdenticallyAndSurviveAKill) {
+#ifndef HOVALD_BINARY
+  GTEST_SKIP() << "hovald is not built (HOVAL_BUILD_TOOLS=OFF)";
+#else
+  const SweepSpec sweep = demo_sweep();
+  const std::string reference = rendered_local(sweep);
+  for (const int victim : {-1, 0}) {
+    SCOPED_TRACE("test_kill_worker=" + std::to_string(victim));
+    DispatchOptions options;
+    options.workers = 2;
+    options.worker_argv = {HOVALD_BINARY, "--stdio", "--threads", "1"};
+    options.test_kill_worker = victim;
+    const DispatchReport report = dispatch_sweep(sweep, options);
+    EXPECT_TRUE(report.complete());
+    EXPECT_EQ(rendered(report.results), reference);
+    if (victim >= 0) {
+      EXPECT_GE(report.resubmitted_points, 1);
+    }
   }
-  void close_write() {
-    ::close(fds[1]);
-    fds[1] = -1;
-  }
-};
-
-TEST(Dispatch, WorkerLoopServesPointsAndReportsBadOnesAsErrorFrames) {
-  const std::vector<ScenarioSpec> points = demo_sweep().expand();
-
-  Pipe in, out;
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(0, points[0].to_json())));
-  // A syntactically valid message whose scenario fails resolution: the
-  // worker must answer with an error frame and keep serving.
-  Json bogus = Json::object();
-  bogus.set("algorithm", Json::object());
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(1, bogus)));
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(2, points[2].to_json())));
-  in.close_write();
-
-  EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 0);
-  ::close(out.fds[1]);
-  out.fds[1] = -1;
-
-  FrameDecoder decoder;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(out.fds[0], buffer, sizeof(buffer))) > 0)
-    decoder.feed(buffer, static_cast<std::size_t>(n));
-  std::vector<WireMessage> replies;
-  while (const auto frame = decoder.next())
-    replies.push_back(parse_message(*frame));
-  EXPECT_EQ(decoder.pending_bytes(), 0u);
-
-  ASSERT_EQ(replies.size(), 3u);
-  EXPECT_EQ(replies[0].type, WireMessage::Type::kResult);
-  EXPECT_EQ(replies[0].index, 0);
-  EXPECT_EQ(replies[1].type, WireMessage::Type::kError);
-  EXPECT_EQ(replies[1].index, 1);
-  EXPECT_FALSE(replies[1].what.empty());
-  EXPECT_EQ(replies[2].type, WireMessage::Type::kResult);
-  EXPECT_EQ(replies[2].index, 2);
-
-  // The served result is the same bytes a direct run produces.
-  Executor executor(1);
-  EXPECT_EQ(campaign_result_to_json(
-                campaign_result_from_json(replies[0].body))
-                .dump(),
-            campaign_result_to_json(run_scenario(points[0], executor)).dump());
+#endif
 }
 
-TEST(Dispatch, WorkerLoopDiagnosesTruncatedAndGarbageStreams) {
-  {
-    Pipe in, out;
-    const std::string frame = encode_point_message(0, Json::object());
-    const std::string encoded = encode_frame(frame);
-    ASSERT_GT(::write(in.fds[1], encoded.data(), encoded.size() / 2), 0);
-    in.close_write();
-    EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 1);  // truncated
-  }
-  {
-    Pipe in, out;
-    ASSERT_TRUE(write_frame(in.fds[1], "this is not a protocol message"));
-    in.close_write();
-    EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 2);  // protocol
-  }
+TEST(Dispatch, GarbageSpeakingBackendIsLostAsABadFrameAndReaped) {
+  // Not a frame: the length prefix "garb" is far above the frame cap.  The
+  // backend then lingers; the dispatcher must kill it, not wait it out.
+  DispatchOptions options;
+  options.workers = 1;
+  options.worker_argv = {"/bin/sh", "-c",
+                         "printf 'garbage!!' >&0; exec sleep 30"};
+  options.max_point_attempts = 1;
+  options.max_respawns = 0;
+  std::vector<std::string> lines;
+  options.log = [&](const std::string& line) { lines.push_back(line); };
+  const auto start = std::chrono::steady_clock::now();
+  const DispatchReport report = dispatch_sweep(demo_sweep(), options);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_FALSE(report.complete());
+  bool bad_frame = false;
+  for (const std::string& line : lines)
+    if (line.rfind("worker-lost ", 0) == 0 &&
+        line.find("reason=bad-frame") != std::string::npos)
+      bad_frame = true;
+  EXPECT_TRUE(bad_frame) << "no bad-frame loss was logged";
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-/// The dispatch wire format: framing round-trips under arbitrary stream
-/// chunking, and every malformed input — truncated frames, oversized
-/// length prefixes, garbage payloads, off-schema messages — is rejected
-/// with a diagnostic, never accepted-then-misparsed.
+/// The wire framing: frames round-trip under arbitrary stream chunking,
+/// and every malformed input — truncated frames, oversized length
+/// prefixes, flipped bits, random bytes — is rejected with a diagnostic,
+/// never accepted-then-misparsed.  The messages inside the frames are the
+/// hovald protocol's (protocol_test, json_fuzz_test).
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "dispatch/wire.hpp"
+#include "service/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace hoval::dispatch {
@@ -23,7 +25,7 @@ std::vector<std::string> drain(FrameDecoder& decoder) {
 TEST(Wire, FramesRoundTripThroughTheDecoder) {
   const std::vector<std::string> payloads = {
       "", "x", std::string("binary\0payload", 14), std::string(100000, 'q'),
-      "{\"type\":\"error\",\"index\":3,\"what\":\"boom\"}"};
+      "{\"type\":\"error\",\"id\":3,\"what\":\"boom\"}"};
   std::string stream;
   for (const std::string& payload : payloads)
     stream += encode_frame(payload);
@@ -80,7 +82,7 @@ TEST(Wire, CorruptedBytesAreRejectedByTheChecksumNeverMisparsed) {
   // Flip every bit position of a frame in turn: whatever the fault model
   // does to the bytes, the decoder must either throw (checksum or length
   // violation) or keep waiting — it may never deliver altered payload.
-  const std::string payload = R"({"type":"error","index":1,"what":"ok"})";
+  const std::string payload = R"({"type":"error","id":1,"what":"ok"})";
   const std::string frame = encode_frame(payload);
   int rejected = 0;
   for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
@@ -117,55 +119,6 @@ TEST(Wire, ChecksumMismatchDiagnosticNamesTheCorruption) {
   }
 }
 
-TEST(Wire, PointAndResultAndErrorMessagesRoundTrip) {
-  Json scenario = Json::object();
-  scenario.set("algorithm", Json::object());
-
-  const WireMessage point = parse_message(encode_point_message(7, scenario));
-  EXPECT_EQ(point.type, WireMessage::Type::kPoint);
-  EXPECT_EQ(point.index, 7);
-  EXPECT_TRUE(point.body == scenario);
-
-  Json result = Json::object();
-  result.set("runs", 40);
-  const WireMessage merged = parse_message(encode_result_message(2, result));
-  EXPECT_EQ(merged.type, WireMessage::Type::kResult);
-  EXPECT_EQ(merged.index, 2);
-  EXPECT_TRUE(merged.body == result);
-
-  const WireMessage error = parse_message(encode_error_message(0, "boom"));
-  EXPECT_EQ(error.type, WireMessage::Type::kError);
-  EXPECT_EQ(error.index, 0);
-  EXPECT_EQ(error.what, "boom");
-}
-
-TEST(Wire, MalformedMessagesAreRejected) {
-  const std::vector<std::string> garbage = {
-      "",                                          // not JSON
-      "not json at all",                           //
-      "42",                                        // JSON, not an object
-      "[]",                                        //
-      "{}",                                        // missing type
-      R"({"type":"point"})",                       // missing index
-      R"({"type":"nonsense","index":0})",          // unknown type
-      R"({"type":"point","index":-1,"scenario":{}})",  // negative index
-      R"({"type":"point","index":"x","scenario":{}})", // index not an int
-      // Out-of-range indices must reject as WireError, never escape as the
-      // Json layer's own range exception (host aborts vs tolerated fault).
-      R"({"type":"result","index":99999999999,"result":{}})",    // > int32
-      R"({"type":"result","index":18446744073709551615,"result":{}})",  // uint64 max
-      R"({"type":"result","index":-99999999999,"result":{}})",   // < int32 min
-      R"({"type":"point","index":0})",             // missing body
-      R"({"type":"point","index":0,"scenario":3})",    // body not an object
-      R"({"type":"result","index":0,"result":[]})",    //
-      R"({"type":"error","index":0,"what":17})",   // what not a string
-      R"({"type":"error","index":0,"what":"x","extra":1})",  // unknown key
-      R"({"type":"point","index":0,"scenario":{},"result":{}})",
-  };
-  for (const std::string& payload : garbage)
-    EXPECT_THROW(parse_message(payload), WireError) << payload;
-}
-
 TEST(Wire, RandomBytesNeverCrashTheDecoderOrParser) {
   Rng rng(0xD15F);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -182,8 +135,8 @@ TEST(Wire, RandomBytesNeverCrashTheDecoderOrParser) {
         offset += chunk;
         while (const auto frame = decoder.next()) {
           try {
-            (void)parse_message(*frame);
-          } catch (const WireError&) {
+            (void)service::parse_server_message(*frame);
+          } catch (const service::ServiceError&) {
           }
         }
       }

@@ -284,7 +284,7 @@ TEST(JsonFuzz, MutatedWireFramesNeverDeliverAlteredPayloads) {
       service::encode_hello(),
       service::encode_error(7, "busy: admission queue is full, retry later",
                             250),
-      dispatch::encode_error_message(3, "worker went away"),
+      service::encode_error(3, "worker went away"),
       std::string(5000, 'q'),
   };
   std::vector<std::string> frames;

@@ -4,7 +4,9 @@
 /// must be served from the spec-hash cache without executing runs,
 /// concurrent clients must not perturb each other, and a disconnect must
 /// cancel the client's in-flight jobs while other clients' jobs finish
-/// untouched.
+/// untouched.  The same Server also serves one adopted socket (a
+/// socketpair end here; `hovald --stdio` and hoval_dispatch's backends in
+/// production) and returns from run() once that peer is gone.
 
 #include "service/server.hpp"
 
@@ -19,11 +21,13 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
 #include "refine/driver.hpp"
 #include "scenario/run.hpp"
@@ -738,6 +742,141 @@ TEST(Daemon, OutboxOverflowDropsOnlyTheUnreadingClient) {
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_TRUE(after.cache_hit);
   EXPECT_EQ(after.result.dump(), local_scenario_bytes(spec));
+}
+
+// --- one adopted connection (hovald --stdio, dispatch backends) -----------
+
+/// A Server adopting one end of a socketpair, run on its own thread; the
+/// test speaks the protocol over the other end.  run() must return by
+/// itself once the peer is gone; the destructor stops a server a test
+/// left running.
+class AdoptedServer {
+ public:
+  AdoptedServer() {
+    int ends[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+    peer_ = ends[0];
+    ServerConfig config;
+    config.executor_threads = 2;
+    server_ = std::make_unique<Server>(std::move(config), ends[1]);
+    thread_ = std::thread([this] {
+      server_->run();
+      returned_.store(true);
+    });
+  }
+  ~AdoptedServer() {
+    server_->stop();
+    thread_.join();
+    close_peer();
+  }
+
+  int peer() const { return peer_; }
+  void close_peer() {
+    if (peer_ >= 0) ::close(peer_);
+    peer_ = -1;
+  }
+  bool returned() const { return returned_.load(); }
+  Server& server() { return *server_; }
+
+  /// The server's next message, or nullopt once it has hung up.
+  std::optional<ServerMessage> next() {
+    const auto frame = dispatch::read_frame(peer_, decoder_);
+    if (!frame) return std::nullopt;
+    return parse_server_message(*frame);
+  }
+  /// Sends hello and checks the server's answer.
+  void greet() {
+    ASSERT_TRUE(dispatch::write_frame(peer_, encode_hello()));
+    const auto hello = next();
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(hello->type, ServerMessage::Type::kHello);
+    EXPECT_EQ(hello->version, kProtocolVersion);
+  }
+
+ private:
+  int peer_ = -1;
+  dispatch::FrameDecoder decoder_;
+  std::unique_ptr<Server> server_;
+  std::thread thread_;
+  std::atomic<bool> returned_{false};
+};
+
+TEST(AdoptedSocket, ServesResultBytesEqualToTheLocalRun) {
+  AdoptedServer adopted;
+  EXPECT_TRUE(adopted.server().address().empty());
+  adopted.greet();
+  const ScenarioSpec spec = small_spec(40);
+  ASSERT_TRUE(dispatch::write_frame(
+      adopted.peer(), encode_submit(5, false, spec.to_json(), false)));
+  const auto reply = adopted.next();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, ServerMessage::Type::kResult) << reply->what;
+  EXPECT_EQ(reply->id, 5);
+  EXPECT_EQ(reply->result.dump(), local_scenario_bytes(spec));
+
+  adopted.close_peer();
+  EXPECT_TRUE(eventually([&] { return adopted.returned(); }));
+}
+
+TEST(AdoptedSocket, UnresolvableSpecGetsAnErrorAndTheNextSubmitIsServed) {
+  AdoptedServer adopted;
+  adopted.greet();
+  Json bogus = Json::object();
+  bogus.set("algorithm", Json::object());
+  ASSERT_TRUE(dispatch::write_frame(adopted.peer(),
+                                    encode_submit(1, false, bogus, false)));
+  const auto error = adopted.next();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(error->type, ServerMessage::Type::kError);
+  EXPECT_EQ(error->id, 1);
+  EXPECT_FALSE(error->what.empty());
+  EXPECT_EQ(error->retry_after_ms, -1);  // deterministic, not retryable
+
+  const ScenarioSpec spec = small_spec(10);
+  ASSERT_TRUE(dispatch::write_frame(
+      adopted.peer(), encode_submit(2, false, spec.to_json(), false)));
+  const auto result = adopted.next();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->type, ServerMessage::Type::kResult) << result->what;
+  EXPECT_EQ(result->id, 2);
+  EXPECT_EQ(result->result.dump(), local_scenario_bytes(spec));
+  EXPECT_FALSE(adopted.returned());
+}
+
+TEST(AdoptedSocket, GarbageOrTruncatedFrameGetsAConnectionErrorAndRunReturns) {
+  const std::string truncated = dispatch::encode_frame(encode_hello());
+  const std::vector<std::pair<std::string, std::string>> inputs = {
+      {"garbage payload", dispatch::encode_frame("not a protocol message")},
+      {"garbage bytes", "garbage!!"},  // length prefix above the frame cap
+      {"truncated frame", truncated.substr(0, truncated.size() / 2)},
+  };
+  for (const auto& [name, bytes] : inputs) {
+    SCOPED_TRACE(name);
+    AdoptedServer adopted;
+    ASSERT_TRUE(dispatch::write_all(adopted.peer(), bytes.data(), bytes.size()));
+    // The truncation only shows once the peer stops sending.
+    if (name == "truncated frame") ::shutdown(adopted.peer(), SHUT_WR);
+    const auto error = adopted.next();
+    ASSERT_TRUE(error.has_value());
+    EXPECT_EQ(error->type, ServerMessage::Type::kError);
+    EXPECT_EQ(error->id, -1);  // connection-level
+    EXPECT_FALSE(adopted.next().has_value());  // then the server hangs up
+    EXPECT_TRUE(eventually([&] { return adopted.returned(); }));
+  }
+}
+
+TEST(AdoptedSocket, PeerClosingMidJobCancelsItAndRunReturns) {
+  AdoptedServer adopted;
+  adopted.greet();
+  ASSERT_TRUE(dispatch::write_frame(
+      adopted.peer(),
+      encode_submit(0, false, long_running_spec().to_json(), false)));
+  ASSERT_TRUE(eventually(
+      [&] { return adopted.server().stats().jobs_submitted >= 1; }));
+  adopted.close_peer();
+  EXPECT_TRUE(eventually([&] { return adopted.returned(); }));
+  EXPECT_EQ(adopted.server().stats().jobs_cancelled, 1u);
+  EXPECT_EQ(adopted.server().stats().jobs_completed, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 #include "util/check.hpp"
 
 namespace hoval {
@@ -84,43 +83,6 @@ TEST(SampleSet, BadQuantileThrows) {
   samples.add(1.0);
   EXPECT_THROW((void)samples.quantile(-0.1), PreconditionError);
   EXPECT_THROW((void)samples.quantile(1.1), PreconditionError);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(0.5);   // bin 0
-  hist.add(3.0);   // bin 1
-  hist.add(9.9);   // bin 4
-  hist.add(-5.0);  // clamped to bin 0
-  hist.add(50.0);  // clamped to bin 4
-  EXPECT_EQ(hist.total(), 5);
-  EXPECT_EQ(hist.count(0), 2);
-  EXPECT_EQ(hist.count(1), 1);
-  EXPECT_EQ(hist.count(2), 0);
-  EXPECT_EQ(hist.count(4), 2);
-}
-
-TEST(Histogram, BinRanges) {
-  Histogram hist(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(hist.bin_range(0).first, 0.0);
-  EXPECT_DOUBLE_EQ(hist.bin_range(0).second, 2.0);
-  EXPECT_DOUBLE_EQ(hist.bin_range(4).first, 8.0);
-  EXPECT_THROW((void)hist.bin_range(5), PreconditionError);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram hist(0.0, 2.0, 2);
-  hist.add(0.5);
-  hist.add(0.6);
-  hist.add(1.5);
-  const auto out = hist.render(10);
-  EXPECT_NE(out.find("##########"), std::string::npos);  // peak bin full width
-  EXPECT_NE(out.find(" 2"), std::string::npos);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 3), PreconditionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ struct CliOptions {
   std::string connect;  ///< hovald address; run server-side when set
   bool list = false;
   bool dump = false;
-  bool worker = false;
   int retries = 8;                  ///< --connect submit/reconnect attempts
   int connect_timeout_ms = 10'000;  ///< --connect dial + hello deadline
 
@@ -105,8 +104,6 @@ struct CliOptions {
       << "                   (connect, submit); 1 = no retry (default 8)\n"
       << "  --connect-timeout MS  with --connect: dial + hello deadline,\n"
       << "                   0 = block forever (default 10000)\n"
-      << "  --worker         serve dispatch point frames on stdin/stdout\n"
-      << "                   (spawned by hoval_dispatch; see README)\n"
       << "  --dump-scenario  print the scenario the flags describe as JSON\n"
       << "  --algorithm ate|utea|otr|uv|lastvoting|phaseking   (default ate)\n"
       << "  --n N            processes                        (default 9)\n"
@@ -146,7 +143,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--connect") options.connect = next();
     else if (arg == "--retries") options.retries = std::stoi(next());
     else if (arg == "--connect-timeout") options.connect_timeout_ms = std::stoi(next());
-    else if (arg == "--worker") options.worker = true;
     else if (arg == "--list") options.list = true;
     else if (arg == "--dump-scenario") options.dump = true;
     else if (arg == "--algorithm") { options.algorithm = next(); options.shape_flags.push_back(arg); }
@@ -615,15 +611,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     const CliOptions options = parse(argc, argv);
-    if (options.worker) {
-      // Dispatch worker mode: serve point frames on stdin/stdout until the
-      // host closes the pipe.  Thread count comes from the dispatcher via
-      // HOVAL_WORKER_THREADS, overridable locally with --threads.
-      const int threads = options.threads_set
-                              ? options.threads
-                              : dispatch::worker_threads_from_env(1);
-      return dispatch::run_worker_loop(0, 1, threads);
-    }
     if (options.list) return list_registries();
     if (!options.sweep_file.empty() && !options.scenario_file.empty()) {
       std::cerr << "error: --scenario and --sweep are mutually exclusive\n";

@@ -1,25 +1,26 @@
 /// hoval_dispatch — cross-process sweep sharding.
 ///
-/// Expands a sweep document into its point list, spawns N worker
-/// processes, streams one point at a time to each over a pipe
-/// (dispatch/wire.hpp) and merges the returned result documents in point
-/// order.  Per-point results are bit-identical to `hoval_cli --sweep` of
-/// the same document at any worker count — compare the two `--out` files
-/// with cmp(1).  Workers that crash, get killed or time out have their
-/// in-flight point resubmitted to a survivor; points that keep killing
-/// workers are quarantined and reported (see dispatch/dispatch.hpp).
+/// Expands a sweep document into its point list, spawns N backend
+/// processes (each a hovald service::Server on one socket), submits one
+/// point at a time to each over the hovald protocol and merges the
+/// returned result documents in point order.  Per-point results are
+/// bit-identical to `hoval_cli --sweep` of the same document at any
+/// worker count — compare the two `--out` files with cmp(1).  Workers
+/// that crash, get killed or time out have their in-flight point
+/// resubmitted to a survivor; points that keep killing workers are
+/// quarantined and reported (see dispatch/dispatch.hpp).
 ///
 /// Usage:
 ///   hoval_dispatch --sweep sweep.json [--workers N] [--worker-threads T]
 ///                  [--out results.json] [--worker-cmd "prog args..."]
 ///                  [--max-attempts K] [--max-respawns R]
-///                  [--timeout SECONDS] [--quiet]
-///   hoval_dispatch --worker          (spawned as a worker; not for humans)
+///                  [--timeout SECONDS] [--test-kill-worker K] [--quiet]
 ///
-/// By default workers are forked from this process and run the worker loop
-/// in-process — no binary paths to plumb.  --worker-cmd execs an external
-/// worker instead (e.g. --worker-cmd "./hoval_cli --worker"), which is
-/// what a future multi-host transport would use.
+/// By default backends are forked from this process and build the Server
+/// in-process — no binary paths to plumb.  --worker-cmd execs a backend
+/// that serves the socket on fd 0 instead (e.g. --worker-cmd "./hovald
+/// --stdio --threads 1"); it sets its own thread count, so
+/// --worker-threads applies to forked backends only.
 ///
 /// Exit status: 0 when every point completed and reported no safety
 /// violations; 1 when any point violated safety or was quarantined; 2 on
@@ -28,6 +29,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -43,14 +45,13 @@ struct Options {
   std::string sweep_file;
   std::string out_file;
   int workers = 0;  // 0 = hardware concurrency
-  int worker_threads = 1;
+  std::optional<int> worker_threads;  ///< forked backends; default 1
   std::vector<std::string> worker_cmd;
   int max_attempts = 3;
   int max_respawns = 8;
   double timeout_seconds = 0.0;
   int test_kill_worker = -1;
   bool quiet = false;
-  bool worker = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -58,28 +59,26 @@ struct Options {
       << "usage: " << argv0 << " --sweep FILE [options]\n"
       << "  --sweep FILE        sweep JSON document to shard\n"
       << "  --workers N         worker processes (default: all cores)\n"
-      << "  --worker-threads T  executor threads per worker (default 1;\n"
-      << "                      results are identical at any value)\n"
+      << "  --worker-threads T  executor threads per forked backend\n"
+      << "                      (default 1; results are identical at any\n"
+      << "                      value; not with --worker-cmd)\n"
       << "  --out FILE          write merged results as a JSON array,\n"
       << "                      byte-comparable with hoval_cli --sweep --out\n"
-      << "  --worker-cmd CMD    exec CMD (whitespace-split) as the worker\n"
-      << "                      instead of forking in-process workers\n"
+      << "  --worker-cmd CMD    exec CMD (whitespace-split) as the backend,\n"
+      << "                      serving fd 0, e.g. \"hovald --stdio\n"
+      << "                      --threads 1\"; default: forked backends\n"
       << "  --max-attempts K    quarantine a point after K worker deaths\n"
       << "                      (default 3)\n"
       << "  --max-respawns R    replacement-worker budget (default 8)\n"
       << "  --timeout SECONDS   kill a worker stuck on one point this long\n"
-      << "  --test-kill-worker K  SIGKILL worker slot K mid-sweep (also via\n"
-      << "                      HOVAL_DISPATCH_TEST_KILL_WORKER; CI uses\n"
+      << "  --test-kill-worker K  SIGKILL worker slot K mid-sweep (CI uses\n"
       << "                      this to exercise resubmission)\n"
-      << "  --quiet             suppress per-event progress on stderr\n"
-      << "  --worker            serve point frames on stdin/stdout\n";
+      << "  --quiet             suppress per-event progress on stderr\n";
   std::exit(2);
 }
 
 Options parse(int argc, char** argv) {
   Options options;
-  if (const char* env = std::getenv("HOVAL_DISPATCH_TEST_KILL_WORKER"))
-    if (*env != '\0') options.test_kill_worker = std::atoi(env);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -100,7 +99,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--timeout") options.timeout_seconds = std::stod(next());
     else if (arg == "--test-kill-worker") options.test_kill_worker = std::stoi(next());
     else if (arg == "--quiet") options.quiet = true;
-    else if (arg == "--worker") options.worker = true;
     else usage(argv[0]);
   }
   return options;
@@ -154,7 +152,7 @@ int run_dispatch(const Options& options) {
       options.workers > 0
           ? options.workers
           : std::max(1u, std::thread::hardware_concurrency());
-  dispatch_options.worker_threads = options.worker_threads;
+  dispatch_options.worker_threads = options.worker_threads.value_or(1);
   dispatch_options.worker_argv = options.worker_cmd;
   dispatch_options.max_point_attempts = options.max_attempts;
   dispatch_options.max_respawns = options.max_respawns;
@@ -195,9 +193,10 @@ int run_dispatch(const Options& options) {
 
 int main(int argc, char** argv) {
   try {
-    // Chaos hook: both the host and --worker invocations install the plan
-    // (exec'd workers inherit the variable), so faults hit both pipe ends.
-    // Worker losses they cause are absorbed by resubmission + respawn.
+    // Chaos hook: the host installs the plan and forked backends inherit
+    // it (exec'd hovald backends read the same variable), so faults hit
+    // both socket ends.  Worker losses they cause are absorbed by
+    // resubmission + respawn.
     try {
       if (faults::FaultInjector* injector = faults::install_fault_plan_from_env())
         std::cerr << "chaos: fault plan active: "
@@ -207,10 +206,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     const Options options = parse(argc, argv);
-    if (options.worker)
-      return dispatch::run_worker_loop(0, 1,
-                                       dispatch::worker_threads_from_env(1));
     if (options.sweep_file.empty()) usage(argv[0]);
+    if (options.worker_threads && !options.worker_cmd.empty()) {
+      std::cerr << "error: --worker-threads sizes forked backends only; an "
+                   "exec'd backend sets its own (e.g. hovald --threads T)\n";
+      return 2;
+    }
     return run_dispatch(options);
   } catch (const ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";

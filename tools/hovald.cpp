@@ -5,9 +5,9 @@
 /// spec-hash result cache without executing a run.
 ///
 /// Usage:
-///   hovald --listen /tmp/hovald.sock [--threads W] [--max-active J]
-///          [--cache-bytes B] [--small-runs R] [--max-pending Q]
-///          [--busy-retry-ms MS] [--hello-timeout-ms MS]
+///   hovald (--listen /tmp/hovald.sock | --stdio) [--threads W]
+///          [--max-active J] [--cache-bytes B] [--small-runs R]
+///          [--max-pending Q] [--busy-retry-ms MS] [--hello-timeout-ms MS]
 ///          [--idle-timeout-ms MS] [--max-outbox-bytes B] [--quiet]
 ///
 /// The listen address accepts the same grammar as `hoval_cli --connect`:
@@ -15,6 +15,12 @@
 /// HOST:PORT (":0" picks an ephemeral port, printed on startup).
 /// SIGTERM / SIGINT shut the daemon down cleanly: in-flight jobs are
 /// cancelled, the pool drains, and the process exits 0.
+///
+/// --stdio serves one already-connected socket on fd 0, inetd-style, and
+/// exits 0 once the peer hangs up.  This is how `hoval_dispatch
+/// --worker-cmd "hovald --stdio --threads 1"` runs its backends.  The
+/// peer owns the connection's lifetime, so the hello and idle deadlines
+/// default to off in this mode (the flags still set them).
 ///
 /// Load shedding: once --max-pending jobs are queued, further submits are
 /// answered with a `busy` error frame carrying the --busy-retry-ms hint;
@@ -27,7 +33,10 @@
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
+
+#include <sys/stat.h>
 
 #include "hoval.hpp"
 
@@ -43,8 +52,10 @@ void handle_signal(int) {
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr
-      << "usage: " << argv0 << " --listen ADDR [options]\n"
+      << "usage: " << argv0 << " (--listen ADDR | --stdio) [options]\n"
       << "  --listen ADDR    unix socket path (contains '/') or HOST:PORT\n"
+      << "  --stdio          serve the connected socket on fd 0, exit when\n"
+      << "                   the peer hangs up (deadlines default to off)\n"
       << "  --threads W      executor pool size, 0 = all cores (default 0)\n"
       << "  --max-active J   jobs executing concurrently     (default 2)\n"
       << "  --cache-bytes B  result-cache budget in bytes    (default 64MiB)\n"
@@ -67,6 +78,8 @@ void handle_signal(int) {
 int main(int argc, char** argv) {
   hoval::service::ServerConfig config;
   bool quiet = false;
+  bool stdio = false;
+  std::optional<int> hello_timeout_ms, idle_timeout_ms;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -75,6 +88,7 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--listen") config.address = next();
+      else if (arg == "--stdio") stdio = true;
       else if (arg == "--threads") config.executor_threads = std::stoi(next());
       else if (arg == "--max-active") config.max_active_jobs = std::stoi(next());
       else if (arg == "--cache-bytes")
@@ -82,8 +96,8 @@ int main(int argc, char** argv) {
       else if (arg == "--small-runs") config.small_job_runs = std::stoll(next());
       else if (arg == "--max-pending") config.max_pending_jobs = std::stoi(next());
       else if (arg == "--busy-retry-ms") config.busy_retry_ms = std::stoi(next());
-      else if (arg == "--hello-timeout-ms") config.hello_timeout_ms = std::stoi(next());
-      else if (arg == "--idle-timeout-ms") config.idle_timeout_ms = std::stoi(next());
+      else if (arg == "--hello-timeout-ms") hello_timeout_ms = std::stoi(next());
+      else if (arg == "--idle-timeout-ms") idle_timeout_ms = std::stoi(next());
       else if (arg == "--max-outbox-bytes") {
         const long long bytes = std::stoll(next());
         config.max_outbox_bytes =
@@ -96,10 +110,23 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.address.empty()) {
-    std::cerr << "error: --listen ADDR is required\n";
+  if (stdio && !config.address.empty()) {
+    std::cerr << "error: --stdio and --listen are mutually exclusive\n";
+    return 2;
+  }
+  if (!stdio && config.address.empty()) {
+    std::cerr << "error: --listen ADDR or --stdio is required\n";
     usage(argv[0]);
   }
+  struct stat input {};
+  if (stdio && (::fstat(0, &input) != 0 || !S_ISSOCK(input.st_mode))) {
+    std::cerr << "error: --stdio needs a connected socket on fd 0\n";
+    return 2;
+  }
+  config.hello_timeout_ms =
+      hello_timeout_ms.value_or(stdio ? 0 : config.hello_timeout_ms);
+  config.idle_timeout_ms =
+      idle_timeout_ms.value_or(stdio ? 0 : config.idle_timeout_ms);
   if (!quiet)
     config.log = [](const std::string& line) {
       std::cerr << "hovald: " << line << "\n";
@@ -116,11 +143,14 @@ int main(int argc, char** argv) {
   }
 
   try {
-    hoval::service::Server server(std::move(config));
+    hoval::service::Server server =
+        stdio ? hoval::service::Server(std::move(config), 0)
+              : hoval::service::Server(std::move(config));
     g_server = &server;
     std::signal(SIGTERM, handle_signal);
     std::signal(SIGINT, handle_signal);
-    std::cerr << "hovald: listening on " << server.address() << "\n";
+    if (!stdio)
+      std::cerr << "hovald: listening on " << server.address() << "\n";
     server.run();
     const hoval::service::ServerStats stats = server.stats();
     std::cerr << "hovald: served " << stats.jobs_completed << " job(s) ("

@@ -31,6 +31,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr auto kReapGrace = std::chrono::milliseconds(kWorkerReapGraceMs);
+/// Poll interval while a lost backend awaits its reap (child exit has no
+/// descriptor to poll).
+constexpr int kReapPollMs = 1;
+
+/// SIGKILLs a backend and whatever it started: each backend leads its own
+/// process group, so a `--worker-cmd` wrapper's children die with it.
+void kill_backend(pid_t pid) {
+  if (::kill(-pid, SIGKILL) != 0) ::kill(pid, SIGKILL);
+}
+
+/// Reaps `pid` if it has exited; once `kill_at` has passed, SIGKILLs it
+/// and waits.  Returns false while the child is still running inside its
+/// grace period.  `status` is whichever exit status came first: the
+/// child's own, or the kill's.
+bool try_reap(pid_t pid, Clock::time_point kill_at, int& status) {
+  pid_t got = ::waitpid(pid, &status, WNOHANG);
+  if (got == 0) {
+    if (Clock::now() < kill_at) return false;
+    kill_backend(pid);
+    while ((got = ::waitpid(pid, &status, 0)) < 0 && errno == EINTR) {
+    }
+  }
+  if (got < 0) status = 0;  // already reaped elsewhere: nothing to report
+  return true;
+}
+
 void set_cloexec(int fd) {
   const int flags = ::fcntl(fd, F_GETFD);
   if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
@@ -64,6 +91,20 @@ struct WorkerProc {
   int results_delivered = 0;
   Clock::time_point assigned_at{};
   bool timed_out = false;  ///< host SIGKILLed it for exceeding the timeout
+};
+
+/// How the host observed a worker's loss; refined by the child's exit
+/// status into the structured reason token.
+enum class Loss { kEof, kBadFrame, kWriteFailed, kReadError };
+
+/// A backend whose connection is closed but whose process is not yet
+/// reaped.  Its loss is reported, and its point resubmitted, once the
+/// exit status is known.
+struct LostWorker {
+  std::unique_ptr<WorkerProc> worker;
+  Loss kind = Loss::kEof;
+  std::string detail;
+  Clock::time_point kill_at{};  ///< SIGKILL if still running by then
 };
 
 /// The whole host: spawn, assign, poll, merge, tolerate.
@@ -123,7 +164,7 @@ class Dispatcher {
       if (worker) assign_next(*worker);
     }
     while (done_ < report_.points) {
-      if (live_.empty() && !ensure_capacity()) {
+      if (live_.empty() && reaping_.empty() && !ensure_capacity()) {
         quarantine_pending("no workers left (respawn budget exhausted)");
         break;
       }
@@ -174,6 +215,7 @@ class Dispatcher {
       throw DispatchError(std::string("fork: ") + std::strerror(errno));
     }
     if (pid == 0) {
+      ::setpgid(0, 0);
       ::close(ends[0]);
       for (const int fd : sibling_fds) ::close(fd);
       if (argv_storage.empty())
@@ -186,6 +228,7 @@ class Dispatcher {
       ::execvp(argv[0], argv.data());
       std::_Exit(127);  // exec failed
     }
+    ::setpgid(pid, pid);  // either side may win the race; both agree
     ::close(ends[1]);
 
     auto worker = std::make_unique<WorkerProc>();
@@ -202,21 +245,27 @@ class Dispatcher {
   /// Keeps the pool at target size while work remains.  Returns false when
   /// nothing could be (re)spawned and no worker is alive.
   bool ensure_capacity() {
-    while (static_cast<int>(live_.size()) < options_.workers &&
-           work_remaining() > static_cast<int>(in_flight_count()) &&
-           respawns_available()) {
+    while (spawn_wanted()) {
       const auto now = Clock::now();
       if (now < next_spawn_allowed_) {
-        // Crash-loop backoff in force.  With live workers the poll loop
-        // retries after the deadline (next_timeout_ms folds it in); with
-        // none there is nothing to service, so just sleep it out.
-        if (!live_.empty()) break;
+        // Crash-loop backoff in force.  With live or reaping workers the
+        // poll loop retries after the deadline (next_timeout_ms folds it
+        // in); with none there is nothing to service, so sleep it out.
+        if (!live_.empty() || !reaping_.empty()) break;
         std::this_thread::sleep_for(next_spawn_allowed_ - now);
       }
       WorkerProc* worker = spawn();
       if (worker) assign_next(*worker);
     }
     return !live_.empty();
+  }
+
+  /// A lost backend holds its slot until it is reaped, so at most
+  /// `workers` backend processes exist at once.
+  bool spawn_wanted() const {
+    return static_cast<int>(live_.size() + reaping_.size()) < options_.workers &&
+           work_remaining() > static_cast<int>(in_flight_count()) &&
+           respawns_available();
   }
 
   bool respawns_available() const {
@@ -237,12 +286,12 @@ class Dispatcher {
   enum class Assign {
     kAssigned,    ///< a point is now in flight on this worker
     kIdle,        ///< nothing pending; the worker is alive and idle
-    kWorkerLost,  ///< the write failed: fail_worker ran, `worker` is freed
+    kWorkerLost,  ///< the write failed: fail_worker moved `worker` to reaping_
   };
 
   /// Hands the next pending point to `worker`.  May fail the worker (a
   /// dead child surfaces as a write error), in which case `worker` has
-  /// been destroyed and the caller must not touch it again.
+  /// moved to the reaping list and the caller must not touch it again.
   Assign assign_next(WorkerProc& worker) {
     if (pending_.empty()) return Assign::kIdle;
     const int point = pending_.front();
@@ -268,16 +317,12 @@ class Dispatcher {
     if (worker.slot == options_.test_kill_worker && !kill_hook_fired_) {
       kill_hook_fired_ = true;
       log("test hook: SIGKILL worker " + std::to_string(worker.slot));
-      ::kill(worker.pid, SIGKILL);
+      kill_backend(worker.pid);
     }
     return Assign::kAssigned;
   }
 
   // --- failure handling ----------------------------------------------------
-
-  /// How the host observed a worker's loss; refined by the child's exit
-  /// status into the structured reason token.
-  enum class Loss { kEof, kBadFrame, kWriteFailed, kReadError };
 
   static const char* loss_name(Loss kind) {
     switch (kind) {
@@ -289,27 +334,52 @@ class Dispatcher {
     return "lost";
   }
 
-  /// A worker died (or spoke garbage): reap it, resubmit or quarantine its
-  /// in-flight point, arm the crash-loop backoff, refill the pool.
-  /// `worker` is destroyed.
+  /// A worker died, hung up or spoke garbage: close its connection and
+  /// move it to the reaping list.  The poll loop reaps it without
+  /// blocking (SIGKILL after kReapGrace) and then finish_loss reports it.
+  /// `worker` leaves live_ and must not be touched again by the caller.
   void fail_worker(WorkerProc& worker, Loss kind, const std::string& detail) {
     ::close(worker.fd);
-    // A backend that broke the protocol may still be running; it must not
-    // hold up the reap below.
-    if (kind == Loss::kBadFrame) ::kill(worker.pid, SIGKILL);
-    int status = 0;
-    ::waitpid(worker.pid, &status, 0);  // SIGKILLed/EOF'd children exit soon
-    const pid_t pid = worker.pid;
-    worker.pid = -1;
+    worker.fd = -1;
+    // A backend that broke the protocol may still be running; its frames
+    // are not worth a grace period.
+    if (kind == Loss::kBadFrame) kill_backend(worker.pid);
+    const auto it =
+        std::find_if(live_.begin(), live_.end(),
+                     [&worker](const auto& w) { return w.get() == &worker; });
+    reaping_.push_back({std::move(*it), kind, detail, Clock::now() + kReapGrace});
+    live_.erase(it);
+  }
+
+  /// Reaps every lost worker that has exited (or outlived its grace
+  /// period) and finishes its loss.
+  void reap_lost() {
+    for (std::size_t i = 0; i < reaping_.size();) {
+      int status = 0;
+      if (!try_reap(reaping_[i].worker->pid, reaping_[i].kill_at, status)) {
+        ++i;
+        continue;
+      }
+      LostWorker lost = std::move(reaping_[i]);
+      reaping_.erase(reaping_.begin() + static_cast<std::ptrdiff_t>(i));
+      finish_loss(lost, status);  // may append to reaping_; i stays valid
+    }
+  }
+
+  /// A reaped worker's loss: log it, resubmit or quarantine its in-flight
+  /// point, arm the crash-loop backoff, refill the pool.
+  void finish_loss(const LostWorker& lost, int status) {
+    const WorkerProc& worker = *lost.worker;
+    const std::string& detail = lost.detail;
 
     // The structured reason: the host's own kill wins (timeout), a frame
     // the host rejected stays bad-frame (the exit status is downstream
     // fallout of closing the pipes), and otherwise the child's exit status
     // is more specific than how the loss happened to surface host-side.
-    std::string reason = loss_name(kind);
+    std::string reason = loss_name(lost.kind);
     if (worker.timed_out) {
       reason = "timeout";
-    } else if (kind != Loss::kBadFrame) {
+    } else if (lost.kind != Loss::kBadFrame) {
       if (WIFSIGNALED(status))
         reason = "signal=" + std::to_string(WTERMSIG(status));
       else if (WIFEXITED(status) && WEXITSTATUS(status) != 0)
@@ -324,12 +394,10 @@ class Dispatcher {
     const int point = worker.current_point;
     const int slot = worker.slot;
     const bool delivered = worker.results_delivered > 0;
-    live_.erase(std::find_if(live_.begin(), live_.end(),
-                             [&worker](const auto& w) { return w.get() == &worker; }));
     ++report_.workers_failed;
     {
       std::ostringstream line;
-      line << "worker-lost slot=" << slot << " pid=" << pid
+      line << "worker-lost slot=" << slot << " pid=" << worker.pid
            << " reason=" << reason << " point=";
       if (point >= 0)
         line << point << " attempt="
@@ -377,9 +445,9 @@ class Dispatcher {
     }
     // A resubmitted point may need an already-idle worker (everyone else
     // might be deep in a long point).  Pick the candidate before calling
-    // assign_next: it can erase from live_ (re-entrant fail_worker) or
-    // grow it (respawns), either of which invalidates iterators; the
-    // WorkerProc itself is heap-stable, so the pointer survives both.
+    // assign_next: it can erase from live_ (fail_worker) or grow it
+    // (respawns), either of which invalidates iterators; the WorkerProc
+    // itself is heap-stable, so the pointer survives both.
     if (!pending_.empty()) {
       WorkerProc* idle = nullptr;
       for (const auto& candidate : live_) {
@@ -432,6 +500,7 @@ class Dispatcher {
       WorkerProc* worker = find_by_pid(pids[i]);
       if (worker) handle_readable(*worker);
     }
+    reap_lost();
     enforce_timeouts();
     // Spawns deferred by the crash-loop backoff happen here once the
     // deadline passes (next_timeout_ms bounded the sleep above).
@@ -465,14 +534,12 @@ class Dispatcher {
         soonest = soonest < 0.0 ? left : std::min(soonest, left);
       }
     }
-    if (next_spawn_allowed_ > now &&
-        static_cast<int>(live_.size()) < options_.workers &&
-        work_remaining() > static_cast<int>(in_flight_count()) &&
-        respawns_available()) {
+    if (next_spawn_allowed_ > now && spawn_wanted()) {
       const double until_spawn =
           std::chrono::duration<double>(next_spawn_allowed_ - now).count();
       soonest = soonest < 0.0 ? until_spawn : std::min(soonest, until_spawn);
     }
+    if (!reaping_.empty()) return kReapPollMs;
     if (soonest < 0.0) return -1;
     return std::max(0, static_cast<int>(soonest * 1000.0) + 1);
   }
@@ -486,7 +553,7 @@ class Dispatcher {
           std::chrono::duration<double>(now - worker->assigned_at).count();
       if (elapsed >= attempt_deadline_seconds(*worker)) {
         worker->timed_out = true;
-        ::kill(worker->pid, SIGKILL);  // EOF lands in the next poll
+        kill_backend(worker->pid);  // EOF lands in the next poll
       }
     }
   }
@@ -584,8 +651,8 @@ class Dispatcher {
           std::to_string(worker.slot) + ")");
     }
 
-    // A failed reassignment write means fail_worker already destroyed
-    // `worker` — handle_readable must not touch its decoder again.
+    // A failed reassignment write means fail_worker already moved `worker`
+    // to the reaping list — handle_readable must not touch its decoder again.
     return assign_next(worker) != Assign::kWorkerLost;
   }
 
@@ -594,13 +661,21 @@ class Dispatcher {
   void shutdown_workers() {
     // Hanging up is the shutdown signal; every live backend is idle by now
     // (the loop only ends when no point is in flight), so each one's
-    // Server::run returns promptly.
+    // Server::run returns promptly.  One that lingers past the grace
+    // period is killed, as is a lost one still awaiting its reap.
     for (const auto& worker : live_) ::close(worker->fd);
+    const auto kill_at = Clock::now() + kReapGrace;
     for (const auto& worker : live_) {
       int status = 0;
-      ::waitpid(worker->pid, &status, 0);
+      while (!try_reap(worker->pid, kill_at, status))
+        std::this_thread::sleep_for(std::chrono::milliseconds(kReapPollMs));
     }
     live_.clear();
+    while (!reaping_.empty()) {
+      reap_lost();
+      if (!reaping_.empty())
+        std::this_thread::sleep_for(std::chrono::milliseconds(kReapPollMs));
+    }
   }
 
   DispatchOptions options_;
@@ -609,6 +684,7 @@ class Dispatcher {
   std::vector<int> attempts_;
   std::vector<std::string> last_error_;
   std::vector<std::unique_ptr<WorkerProc>> live_;
+  std::vector<LostWorker> reaping_;  ///< lost, connection closed, not reaped
   DispatchReport report_;
   int done_ = 0;  ///< completed + quarantined
   int next_slot_ = 0;

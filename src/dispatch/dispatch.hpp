@@ -53,6 +53,13 @@ class DispatchError : public std::runtime_error {
   explicit DispatchError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// How long a lost backend (hung up, garbled, or timed out) may take to
+/// exit on its own before the host SIGKILLs it; shutdown gives every
+/// backend the same bound.  The loss is logged, and its in-flight point
+/// resubmitted, once the exit status is known, so a backend that hangs up
+/// but keeps running delays the sweep by at most this much.
+inline constexpr int kWorkerReapGraceMs = 1000;
+
 struct DispatchOptions {
   /// Worker processes to keep alive while points remain.
   int workers = 1;
@@ -65,7 +72,11 @@ struct DispatchOptions {
   /// {"./hovald", "--stdio", "--threads", "1"}).  Empty: fork a child that
   /// builds the service::Server in-process — the default for tools that
   /// link the library, and the only mode that needs no binary path
-  /// plumbing.
+  /// plumbing.  Every backend leads its own process group, so the reap's
+  /// SIGKILL also reaches what a wrapper command started.  It is thus out
+  /// of the terminal's foreground group: Ctrl-C stops only the host.
+  /// Forked and `hovald --stdio` backends then exit on the hang-up, but a
+  /// wrapper's children outlive an interrupted dispatch.
   std::vector<std::string> worker_argv;
   /// A point is quarantined after this many attempts end in worker death.
   int max_point_attempts = 3;
@@ -96,7 +107,8 @@ struct DispatchOptions {
   /// emits one structured line:
   ///   worker-lost slot=S pid=P reason=R point=K attempt=A/M detail="..."
   /// where R is `timeout`, `eof`, `bad-frame`, `exit=N`, `signal=N`,
-  /// `write-failed`, or `read-error`.
+  /// `write-failed`, or `read-error` (a backend killed at the end of its
+  /// reap grace reports `signal=9` unless it exited first).
   std::function<void(const std::string&)> log;
 };
 

@@ -77,7 +77,6 @@
 #include "sim/campaign.hpp"
 #include "sim/executor.hpp"
 #include "sim/initial_values.hpp"
-#include "sim/machine.hpp"
 #include "sim/properties.hpp"
 #include "sim/result_json.hpp"
 #include "sim/simulator.hpp"

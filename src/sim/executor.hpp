@@ -8,7 +8,7 @@
 /// the campaign's deterministic adaptive waves become schedulable blocks
 /// of pool work.  Every front end (CLI, daemon, dispatch worker, benches)
 /// owns exactly one and passes it to the entry points that run campaigns
-/// (scenario/run.hpp, refine/driver.hpp, HoMachine::campaign).  Campaigns
+/// (scenario/run.hpp, refine/driver.hpp).  Campaigns
 /// from different submissions interleave on the same workers — an
 /// adaptive early-stopper frees its workers for whatever else is queued —
 /// so a whole sweep shares one pool lifecycle.

@@ -1,10 +1,11 @@
 #include "util/json.hpp"
 
-#include <cctype>
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 namespace hoval {
@@ -22,9 +23,20 @@ constexpr int kMaxDepth = 128;
                   kNames[static_cast<int>(got)]);
 }
 
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending run of verbatim bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!needs_escape(c)) continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     const auto u = static_cast<unsigned char>(c);
     switch (c) {
       case '"': out += "\\\""; break;
@@ -35,32 +47,59 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", u);
+        out += buf;
     }
   }
+  out.append(s, run, std::string::npos);
   out += '"';
 }
 
-/// Shortest decimal representation of `v` that strtod parses back to the
-/// same bits (tried at increasing precision; 17 digits always suffices).
-std::string shortest_double(double v) {
+/// Reads a complete decimal token as strtod would: std::from_chars rounds
+/// the same way, and its range errors (where strtod would give 0 or
+/// infinity) go to strtod itself.
+double read_double(std::string_view token) {
+  double v = 0.0;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec == std::errc() && end == token.data() + token.size()) return v;
+  return std::strtod(std::string(token).c_str(), nullptr);
+}
+
+template <typename Integer>
+void append_integer(std::string& out, Integer v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Appends the shortest "%.*g" text of `v` that reads back to the same
+/// bits (tried at increasing precision; 17 digits always suffices).
+void append_double(std::string& out, double v) {
   if (!std::isfinite(v))
     throw JsonError("cannot serialise non-finite double to JSON");
   char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  // The shortest round-trip form's digit count is a lower bound: no
+  // shorter "%.*g" text can read back as v.
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c)
+    if (is_digit(*c)) ++precision;
+  for (;; ++precision) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        precision)
+              .ptr;
+    if (precision >= 17 ||
+        read_double(std::string_view(buf, static_cast<std::size_t>(end - buf))) == v)
+      break;
   }
-  std::string out = buf;
+  out.append(buf, end);
   // Keep the number recognisably a double so it round-trips to kDouble.
-  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
-  return out;
+  if (std::find_if(buf, end, [](char c) {
+        return c == '.' || c == 'e' || c == 'E';
+      }) == end)
+    out += ".0";
 }
 
 class Parser {
@@ -125,7 +164,7 @@ class Parser {
 
   Json parse_object(int depth) {
     expect('{');
-    Json::Object members;
+    const std::size_t mark = members_.size();
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
@@ -137,29 +176,29 @@ class Parser {
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      members.emplace_back(std::move(key), parse_value(depth + 1));
+      members_.emplace_back(std::move(key), parse_value(depth + 1));
       skip_whitespace();
       const char c = peek();
       ++pos_;
-      if (c == '}') return Json::object(std::move(members));
+      if (c == '}') return Json::object(pop_since(members_, mark));
       if (c != ',') fail("expected ',' or '}' in object");
     }
   }
 
   Json parse_array(int depth) {
     expect('[');
-    Json::Array items;
+    const std::size_t mark = items_.size();
     skip_whitespace();
     if (peek() == ']') {
       ++pos_;
       return Json::array();
     }
     for (;;) {
-      items.push_back(parse_value(depth + 1));
+      items_.push_back(parse_value(depth + 1));
       skip_whitespace();
       const char c = peek();
       ++pos_;
-      if (c == ']') return Json::array(std::move(items));
+      if (c == ']') return Json::array(pop_since(items_, mark));
       if (c != ',') fail("expected ',' or ']' in array");
     }
   }
@@ -168,15 +207,15 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run of verbatim bytes up to the next quote, backslash or
+      // control character in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && !needs_escape(text_[pos_])) ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("unescaped control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -239,59 +278,74 @@ class Parser {
     }
   }
 
+  bool at_digit() const { return pos_ < text_.size() && is_digit(text_[pos_]); }
+
+  void skip_digits() {
+    while (at_digit()) ++pos_;
+  }
+
+  /// Parses an integer token into `Integer`; false when out of its range.
+  template <typename Integer>
+  static bool read_integer(std::string_view token, Integer& v) {
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    return ec == std::errc() && end == token.data() + token.size();
+  }
+
   Json parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      fail("invalid number");
+    if (!at_digit()) fail("invalid number");
     if (text_[pos_] == '0' && pos_ + 1 < text_.size() &&
-        std::isdigit(static_cast<unsigned char>(text_[pos_ + 1])))
+        is_digit(text_[pos_ + 1]))
       fail("leading zeros are not allowed");
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+    skip_digits();
     bool integral = true;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       integral = false;
       ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("digits required after decimal point");
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!at_digit()) fail("digits required after decimal point");
+      skip_digits();
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        fail("digits required in exponent");
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])))
-        ++pos_;
+      if (!at_digit()) fail("digits required in exponent");
+      skip_digits();
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (integral) {
-      errno = 0;
       if (token[0] == '-') {
-        char* end = nullptr;
-        const long long v = std::strtoll(token.c_str(), &end, 10);
-        if (errno != ERANGE && end == token.c_str() + token.size())
-          return Json(static_cast<std::int64_t>(v));
+        std::int64_t v = 0;
+        if (read_integer(token, v)) return Json(v);
       } else {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-        if (errno != ERANGE && end == token.c_str() + token.size())
-          return Json(static_cast<std::uint64_t>(v));
+        std::uint64_t v = 0;
+        if (read_integer(token, v)) return Json(v);
       }
       // Integer literal out of 64-bit range: fall through to double.
     }
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("invalid number");
+    const double v = read_double(token);
     if (!std::isfinite(v)) fail("number out of range");
     return Json(v);
   }
 
+  /// Moves the values pushed since `mark` into an exactly sized vector.
+  template <typename T>
+  static std::vector<T> pop_since(std::vector<T>& stack, std::size_t mark) {
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(mark);
+    std::vector<T> out(std::make_move_iterator(first),
+                       std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+    return out;
+  }
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  // Values of the arrays and objects still open, innermost last: every
+  // container is built once at its final size instead of grown.
+  std::vector<Json> items_;
+  std::vector<Json::Member> members_;
 };
 
 }  // namespace
@@ -299,14 +353,14 @@ class Parser {
 Json Json::array(Array items) {
   Json j;
   j.type_ = Type::kArray;
-  j.array_ = std::move(items);
+  new (&j.array_) Array(std::move(items));
   return j;
 }
 
 Json Json::object(Object members) {
   Json j;
   j.type_ = Type::kObject;
-  j.object_ = std::move(members);
+  new (&j.object_) Object(std::move(members));
   return j;
 }
 
@@ -425,9 +479,9 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kInt: out += std::to_string(int_); break;
-    case Type::kUint: out += std::to_string(uint_); break;
-    case Type::kDouble: out += shortest_double(double_); break;
+    case Type::kInt: append_integer(out, int_); break;
+    case Type::kUint: append_integer(out, uint_); break;
+    case Type::kDouble: append_double(out, double_); break;
     case Type::kString: append_escaped(out, string_); break;
     case Type::kArray: {
       if (array_.empty()) {

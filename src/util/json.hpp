@@ -12,8 +12,21 @@
 ///    offset and what was expected, never a best-effort value;
 ///  * no surprises — this is a document model, not a serialisation
 ///    framework: the scenario layer maps specs to/from Json explicitly.
+///
+/// Representation: a type tag plus one anonymous union holding only the
+/// active payload, so a node is 40 bytes with libstdc++'s 32-byte string.
+/// A moved-from node keeps its type with an empty payload.
+///
+/// Numbers go through <charconv> and keep every byte printf/strtod gave:
+/// std::to_chars(v, general, p) is specified as printf's "%.*g", so the
+/// dump still emits the first precision whose text reads back as v
+/// (starting at the shortest round-trip form's digit count, below which
+/// none can).  std::from_chars rounds like strtod; on its range errors
+/// the parser falls back to strtod, so `1e-400` still reads as 0.0 and
+/// `1e400` is still "number out of range".
 
 #include <cstdint>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -41,19 +54,25 @@ class Json {
   /// Insertion-ordered members (no hashing; scenario objects are small).
   using Object = std::vector<Member>;
 
-  Json() = default;  ///< null
-  Json(std::nullptr_t) {}
-  Json(bool b) : type_(Type::kBool), bool_(b) {}
+  Json() noexcept {}  ///< null
+  Json(std::nullptr_t) noexcept {}
+  Json(bool b) noexcept : type_(Type::kBool), bool_(b) {}
   Json(int v) { assign_signed(v); }
   Json(long v) { assign_signed(v); }
   Json(long long v) { assign_signed(v); }
   Json(unsigned v) { assign_unsigned(v); }
   Json(unsigned long v) { assign_unsigned(v); }
   Json(unsigned long long v) { assign_unsigned(v); }
-  Json(double v) : type_(Type::kDouble), double_(v) {}
+  Json(double v) noexcept : type_(Type::kDouble), double_(v) {}
   Json(const char* s) : type_(Type::kString), string_(s) {}
   Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}
   Json(std::string_view s) : type_(Type::kString), string_(s) {}
+
+  Json(const Json& other) { construct_from(other); }
+  Json(Json&& other) noexcept { construct_from(std::move(other)); }
+  Json& operator=(const Json& other) { return *this = Json(other); }
+  Json& operator=(Json&& other) noexcept;
+  ~Json() { destroy(); }
 
   static Json array(Array items = {});
   static Json object(Object members = {});
@@ -129,16 +148,63 @@ class Json {
     uint_ = v;
   }
 
+  /// Copies (const lvalue) or moves (rvalue) `other`'s payload into this
+  /// node's uninitialised one.
+  template <typename Source>
+  void construct_from(Source&& other);
+  /// Ends the active payload's lifetime (the tag is left as is).
+  void destroy() noexcept;
+
   void dump_to(std::string& out, int indent, int depth) const;
 
   Type type_ = Type::kNull;
-  bool bool_ = false;
-  std::int64_t int_ = 0;    ///< kInt (always negative after normalisation)
-  std::uint64_t uint_ = 0;  ///< kUint
-  double double_ = 0.0;     ///< kDouble
-  std::string string_;      ///< kString
-  Array array_;             ///< kArray
-  Object object_;           ///< kObject
+  union {
+    bool bool_;
+    std::int64_t int_;  ///< kInt (always negative after normalisation)
+    std::uint64_t uint_ = 0;  ///< kUint
+    double double_;
+    std::string string_;
+    Array array_;
+    Object object_;
+  };
 };
+
+template <typename Source>
+void Json::construct_from(Source&& other) {
+  // A member of an rvalue is an rvalue, so forwarding `other` picks the
+  // payload's copy or move constructor.
+  type_ = other.type_;
+  switch (type_) {
+    case Type::kString:
+      new (&string_) std::string(std::forward<Source>(other).string_);
+      break;
+    case Type::kArray: new (&array_) Array(std::forward<Source>(other).array_); break;
+    case Type::kObject:
+      new (&object_) Object(std::forward<Source>(other).object_);
+      break;
+    case Type::kBool: bool_ = other.bool_; break;
+    case Type::kInt: int_ = other.int_; break;
+    case Type::kUint: uint_ = other.uint_; break;
+    case Type::kDouble: double_ = other.double_; break;
+    case Type::kNull: break;
+  }
+}
+
+inline void Json::destroy() noexcept {
+  switch (type_) {
+    case Type::kString: string_.~basic_string(); break;
+    case Type::kArray: array_.~Array(); break;
+    case Type::kObject: object_.~Object(); break;
+    default: break;
+  }
+}
+
+inline Json& Json::operator=(Json&& other) noexcept {
+  // Detach first: `other` may live inside this node's own payload.
+  Json detached(std::move(other));
+  destroy();
+  construct_from(std::move(detached));
+  return *this;
+}
 
 }  // namespace hoval

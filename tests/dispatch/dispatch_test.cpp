@@ -341,5 +341,28 @@ TEST(Dispatch, GarbageSpeakingBackendIsLostAsABadFrameAndReaped) {
   EXPECT_TRUE(bad_frame) << "no bad-frame loss was logged";
 }
 
+TEST(Dispatch, LingeringBackendIsKilledAfterTheReapGrace) {
+  // The backend hangs up but keeps running.  Its loss must not wait for
+  // its exit: the host SIGKILLs it once the reap grace has passed.
+  DispatchOptions options;
+  options.workers = 1;
+  options.worker_argv = {"/bin/sh", "-c", "exec 0<&-; sleep 30"};
+  options.max_respawns = 0;
+  std::vector<std::string> lines;
+  options.log = [&](const std::string& line) { lines.push_back(line); };
+  const auto start = std::chrono::steady_clock::now();
+  const DispatchReport report = dispatch_sweep(demo_sweep(), options);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kWorkerReapGraceMs + 1000));
+  EXPECT_FALSE(report.complete());
+  EXPECT_EQ(report.workers_failed, 1);
+  bool killed = false;
+  for (const std::string& line : lines)
+    if (line.rfind("worker-lost slot=0 pid=", 0) == 0 &&
+        line.find(" reason=signal=9 point=0 ") != std::string::npos)
+      killed = true;
+  EXPECT_TRUE(killed) << "no worker-lost line with reason=signal=9";
+}
+
 }  // namespace
 }  // namespace hoval::dispatch

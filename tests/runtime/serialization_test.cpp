@@ -24,6 +24,44 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(incremental.value(), crc32(bytes));
 }
 
+/// Bitwise reference: one shift-and-xor per bit, no tables at all.
+std::uint32_t reference_crc32(const std::byte* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= static_cast<std::uint32_t>(data[i]);
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::byte> buffer(257 + 8);
+  for (std::size_t i = 0; i < buffer.size(); ++i)
+    buffer[i] = std::byte(static_cast<unsigned char>(i * 131 + 17));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const std::byte* start = buffer.data() + offset;
+      EXPECT_EQ(crc32(ByteSpan(start, length)), reference_crc32(start, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalSplitAtAnyPointMatchesOneShot) {
+  std::vector<std::byte> data(100);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = std::byte(static_cast<unsigned char>(i * 29 + 3));
+  const ByteSpan bytes(data);
+  const std::uint32_t whole = crc32(bytes);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 incremental;
+    incremental.update(bytes.subspan(0, split));
+    incremental.update(bytes.subspan(split));
+    EXPECT_EQ(incremental.value(), whole) << "split " << split;
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   std::vector<std::byte> data(32);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = std::byte(i * 7);

@@ -47,6 +47,24 @@ TEST(ServiceProtocol, SubmitRoundTrips) {
   EXPECT_FALSE(sweep.progress);
 }
 
+TEST(ServiceProtocol, EncodeSubmitBytesAreTheMessageDump) {
+  // The envelope's bytes are the compact dump of the message document in
+  // this key order, for both kinds, with and without progress; an
+  // encoder that splices the spec's dump must keep them.
+  const Json spec = demo_spec();
+  for (const bool sweep : {false, true}) {
+    for (const bool progress : {false, true}) {
+      Json message = Json::object();
+      message.set("type", "submit");
+      message.set("id", 7);
+      message.set("kind", sweep ? "sweep" : "scenario");
+      message.set("spec", spec);
+      if (progress) message.set("progress", true);
+      EXPECT_EQ(encode_submit(7, sweep, spec, progress), message.dump());
+    }
+  }
+}
+
 TEST(ServiceProtocol, CancelRoundTrips) {
   const ClientMessage m = parse_client_message(encode_cancel(7));
   EXPECT_EQ(m.type, ClientMessage::Type::kCancel);

@@ -15,7 +15,7 @@
 ///               block faults, Byzantine patterns, split/bivalence/lock-in
 ///               attackers, predicate-enforcing wrappers
 ///   predicates/ P_alpha, P^{A,live}, P^{U,safe}, P^{U,live}, classical
-///               Byzantine encodings, combinators
+///               Byzantine encodings
 ///   scenario/   declarative ScenarioSpec / SweepSpec documents, the
 ///               string-keyed component registries and run_scenario()
 ///   refine/     adaptive sweep refinement: Wilson-interval threshold

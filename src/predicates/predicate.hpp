@@ -75,21 +75,4 @@ class Predicate {
   }
 };
 
-/// Conjunction of predicates; holds iff all parts hold.  The verdict
-/// reports the first failing part.  Streams iff every part streams.
-class AndPredicate final : public Predicate {
- public:
-  explicit AndPredicate(std::vector<std::shared_ptr<Predicate>> parts);
-
-  std::string name() const override;
-  PredicateVerdict evaluate(const ComputationTrace& trace) const override;
-  std::unique_ptr<PredicateStream> make_stream() const override;
-
- private:
-  std::vector<std::shared_ptr<Predicate>> parts_;
-};
-
-/// Convenience constructor for conjunctions.
-std::shared_ptr<Predicate> conjunction(std::vector<std::shared_ptr<Predicate>> parts);
-
 }  // namespace hoval

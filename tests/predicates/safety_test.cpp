@@ -148,21 +148,5 @@ TEST(AsyncByzantinePred, RequiresBothClauses) {
   EXPECT_TRUE(AsyncByzantinePredicate(1).evaluate(trace).holds);
 }
 
-TEST(AndPredicate, ReportsFirstFailure) {
-  auto both = conjunction(
-      {std::make_shared<PAlpha>(0), std::make_shared<PBenign>()});
-  ComputationTrace trace(2);
-  trace.append_round({rec(2, {0, 1}, {0}), rec(2, {0, 1}, {0, 1})});
-  const auto verdict = both->evaluate(trace);
-  EXPECT_FALSE(verdict.holds);
-  EXPECT_NE(verdict.detail.find("P_alpha"), std::string::npos);
-
-  EXPECT_TRUE(conjunction({std::make_shared<PAlpha>(1),
-                           std::make_shared<PPermAlpha>(1)})
-                  ->evaluate(trace)
-                  .holds);
-  EXPECT_NE(both->name().find("/\\"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace hoval

@@ -70,8 +70,6 @@ std::vector<std::shared_ptr<Predicate>> streaming_predicates(int n) {
       std::make_shared<PUSafe>(n, n / 2.0, n / 2.0 + 1, 2),
       std::make_shared<SyncByzantinePredicate>(2),
       std::make_shared<AsyncByzantinePredicate>(2),
-      conjunction({std::make_shared<PAlpha>(2),
-                   std::make_shared<SyncByzantinePredicate>(1)}),
   };
 }
 
@@ -128,11 +126,6 @@ TEST(PredicateStreaming, LivenessPredicatesFallBackToEvaluate) {
   // must get nullptr and fall back, per the make_stream() contract.
   EXPECT_EQ(PALive(9, 6.0, 7.0, 2.0).make_stream(), nullptr);
   EXPECT_EQ(PULive(9, 6.0, 7.0, 2).make_stream(), nullptr);
-  // A conjunction containing a non-streaming part falls back as a whole.
-  EXPECT_EQ(conjunction({std::make_shared<PAlpha>(2),
-                         std::make_shared<PALive>(9, 6.0, 7.0, 2.0)})
-                ->make_stream(),
-            nullptr);
 }
 
 }  // namespace

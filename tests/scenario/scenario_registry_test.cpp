@@ -50,8 +50,8 @@ TEST(Registry, AllAdversarySubclassesRegistered) {
     EXPECT_TRUE(has(names, expected)) << expected;
 }
 
-/// Every concrete Predicate in predicates/ (the combinator AndPredicate is
-/// expressed by listing several predicates in the spec).
+/// Every concrete Predicate in predicates/ (a conjunction is expressed by
+/// listing several predicates in the spec).
 TEST(Registry, AllPredicatesRegistered) {
   const auto names = PredicateRegistry::instance().names();
   for (const char* expected : {"p-alpha", "p-perm-alpha", "p-benign",

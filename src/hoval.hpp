@@ -17,9 +17,10 @@
 ///   predicates/ P_alpha, P^{A,live}, P^{U,safe}, P^{U,live}, classical
 ///               Byzantine encodings
 ///   scenario/   declarative ScenarioSpec / SweepSpec documents, the
-///               string-keyed component registries and run_scenario()
+///               string-keyed component registries, run_scenario() and
+///               the one job runner (JobRunner) behind every front end
 ///   refine/     adaptive sweep refinement: Wilson-interval threshold
-///               hunting on the shared Executor (RefinementDriver)
+///               hunting (RefinementDriver, run by a JobRunner)
 ///   sim/        deterministic round simulator, consensus checkers,
 ///               Monte-Carlo campaigns
 ///   dispatch/   cross-process sweep sharding: CRC-checked wire
@@ -65,6 +66,7 @@
 #include "refine/driver.hpp"
 #include "refine/spec.hpp"
 #include "runtime/runner.hpp"
+#include "scenario/job.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "predicates/predicate.hpp"
+#include "scenario/job.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "sim/result_json.hpp"
@@ -185,25 +186,7 @@ RefinedSweepResult RefinedSweepResult::from_json(const Json& json) {
 
 // --- RefinementDriver -------------------------------------------------------
 
-/// Everything the per-point progress callbacks touch.  Owned by
-/// shared_ptr and captured by the callbacks, so counters stay valid even
-/// if the driver is destroyed while campaigns are still draining.
-struct RefinementDriver::Shared {
-  Shared(std::size_t slots, std::function<void()> notify)
-      : completed(slots), on_progress(std::move(notify)) {}
-
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> dirty{false};
-  /// Per-point completed-run counters, indexed by submission slot; sized
-  /// to max_points up front so worker-thread reads never race a resize.
-  std::vector<std::atomic<long long>> completed;
-  const std::function<void()> on_progress;
-};
-
-RefinementDriver::RefinementDriver(SweepSpec sweep, Executor& executor,
-                                   RefineDriverOptions options)
-    : sweep_(std::move(sweep)), executor_(executor),
-      options_(std::move(options)) {
+RefinementDriver::RefinementDriver(SweepSpec sweep) : sweep_(std::move(sweep)) {
   if (!sweep_.refine.enabled)
     fail("RefinementDriver requires an enabled \"refine\" block");
   sweep_.validate_refine();
@@ -254,7 +237,6 @@ RefinementDriver::RefinementDriver(SweepSpec sweep, Executor& executor,
   const CampaignKnobs& knobs = sweep_.base.campaign;
   per_point_cap_ =
       knobs.adaptive.enabled ? knobs.adaptive.cap(knobs.runs) : knobs.runs;
-  shared_ = std::make_shared<Shared>(budget, options_.on_progress);
 
   // Generation 0: the coarse grid, with values normalised per axis (all
   // integers, or all doubles) so one coordinate tuple has exactly one
@@ -303,89 +285,54 @@ RefinementDriver::RefinementDriver(SweepSpec sweep, Executor& executor,
   for (std::vector<Json>& tuple : tuples) {
     std::string key = canonical_coordinates(tuple);
     if (!membership_.insert(key).second) continue;  // duplicate grid point
-    submit_point(std::move(tuple), key, /*generation=*/0);
+    add_point(std::move(tuple), key);
   }
-  if (options_.on_generation)
-    options_.on_generation(0, points_.size(), points_.size());
 }
 
-RefinementDriver::~RefinementDriver() {
-  shared_->cancelled.store(true, std::memory_order_relaxed);
-  for (const std::size_t index : in_flight_) points_[index].handle.cancel();
-  // No wait: the executor drains its submissions, and the progress
-  // callbacks only touch Shared, which they co-own.
-}
-
-void RefinementDriver::submit_point(std::vector<Json> coordinates,
-                                    const std::string& key, int generation) {
-  const std::uint64_t seed =
-      derived_seed_from_bytes(sweep_.base.campaign.seed, key);
-  ScenarioSpec spec = sweep_.expand_at(coordinates);
-  spec.campaign.seed = seed;
-  ResolvedScenario resolved = resolve_scenario(spec);
-  const std::size_t slot = points_.size();
-  const std::shared_ptr<Shared> shared = shared_;
-  resolved.config.progress = [shared, slot](const CampaignProgress& progress) {
-    shared->completed[slot].store(progress.completed,
-                                  std::memory_order_relaxed);
-    if (!shared->dirty.exchange(true, std::memory_order_relaxed) &&
-        shared->on_progress)
-      shared->on_progress();
-    return !shared->cancelled.load(std::memory_order_relaxed);
-  };
-
+void RefinementDriver::add_point(std::vector<Json> coordinates,
+                                 const std::string& key) {
   PointState point;
   point.coordinates = std::move(coordinates);
-  point.seed = seed;
-  point.generation = generation;
-  point.handle =
-      executor_.submit(std::move(resolved.values), std::move(resolved.instance),
-                       std::move(resolved.adversary),
-                       std::move(resolved.config));
-  in_flight_.push_back(slot);
+  point.seed = derived_seed_from_bytes(sweep_.base.campaign.seed, key);
+  point.generation = generation_;
   points_.push_back(std::move(point));
   results_.emplace_back();
   successes_.push_back(0);
   trials_.push_back(0);
 }
 
-bool RefinementDriver::pump() {
-  if (finished_) return true;
-  for (const std::size_t index : in_flight_)
-    if (!points_[index].handle.ready()) return false;
+std::vector<ScenarioSpec> RefinementDriver::generation() const {
+  std::vector<ScenarioSpec> specs;
+  specs.reserve(points_.size() - generation_begin_);
+  for (std::size_t i = generation_begin_; i < points_.size(); ++i) {
+    specs.push_back(sweep_.expand_at(points_[i].coordinates));
+    specs.back().campaign.seed = points_[i].seed;
+  }
+  return specs;
+}
 
-  bool saw_cancelled = false;
-  for (const std::size_t index : in_flight_) {
-    results_[index] = points_[index].handle.take();
-    const CampaignResult& result = results_[index];
+void RefinementDriver::record(std::vector<CampaignResult> results) {
+  HOVAL_EXPECTS_MSG(results.size() == points_.size() - generation_begin_,
+                    "one result per point of the current generation");
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    const std::size_t index = generation_begin_ + k;
+    results_[index] = std::move(results[k]);
     const auto [successes, trials] =
-        monitored_counts(result, sweep_.refine.monitor);
+        monitored_counts(results_[index], sweep_.refine.monitor);
     successes_[index] = successes;
     trials_[index] = trials;
-    runs_executed_ += result.runs;
-    saw_cancelled = saw_cancelled || result.cancelled;
-    // Pin the live counter to the executed run count: progress batching
-    // may have skipped the final flush of a cancelled campaign.
-    shared_->completed[index].store(result.runs, std::memory_order_relaxed);
+    runs_executed_ += results_[index].runs;
   }
-  in_flight_.clear();
+}
 
-  if (saw_cancelled || shared_->cancelled.load(std::memory_order_relaxed)) {
-    finalize(/*cancelled=*/true);
-    return true;
-  }
+bool RefinementDriver::advance() {
   std::vector<std::pair<std::vector<Json>, std::string>> fresh =
       decide_splits();
-  if (fresh.empty()) {
-    finalize(/*cancelled=*/false);
-    return true;
-  }
+  if (fresh.empty()) return false;
   ++generation_;
-  for (auto& [coordinates, key] : fresh)
-    submit_point(std::move(coordinates), key, generation_);
-  if (options_.on_generation)
-    options_.on_generation(generation_, fresh.size(), points_.size());
-  return false;
+  generation_begin_ = points_.size();
+  for (auto& [coordinates, key] : fresh) add_point(std::move(coordinates), key);
+  return true;
 }
 
 std::vector<std::pair<std::vector<Json>, std::string>>
@@ -459,12 +406,12 @@ RefinementDriver::decide_splits() {
   return fresh;
 }
 
-void RefinementDriver::finalize(bool cancelled) {
-  result_ = RefinedSweepResult{};
-  result_.generations = generation_ + 1;
-  result_.budget_exhausted = budget_exhausted_;
-  result_.cancelled = cancelled;
-  result_.runs_executed = runs_executed_;
+RefinedSweepResult RefinementDriver::finalize(bool cancelled) {
+  RefinedSweepResult result;
+  result.generations = generation_ + 1;
+  result.budget_exhausted = budget_exhausted_;
+  result.cancelled = cancelled;
+  result.runs_executed = runs_executed_;
 
   long long dense_points = 1;
   for (std::size_t a = 0; a < sweep_.axes.size(); ++a) {
@@ -479,15 +426,15 @@ void RefinementDriver::finalize(bool cancelled) {
     }
     dense_points *= std::max<long long>(count, 1);
   }
-  result_.dense_points = dense_points;
-  result_.dense_runs_estimate = dense_points * per_point_cap_;
+  result.dense_points = dense_points;
+  result.dense_runs_estimate = dense_points * per_point_cap_;
 
   std::vector<std::size_t> order(points_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
     return coordinates_less(points_[x].coordinates, points_[y].coordinates);
   });
-  result_.points.reserve(order.size());
+  result.points.reserve(order.size());
   for (const std::size_t index : order) {
     RefinedPoint point;
     point.coordinates = std::move(points_[index].coordinates);
@@ -496,53 +443,19 @@ void RefinementDriver::finalize(bool cancelled) {
     point.monitored_successes = successes_[index];
     point.monitored_trials = trials_[index];
     point.result = std::move(results_[index]);
-    result_.points.push_back(std::move(point));
+    result.points.push_back(std::move(point));
   }
-  result_.splits = std::move(splits_);
-  finished_ = true;
-}
-
-void RefinementDriver::cancel() noexcept {
-  shared_->cancelled.store(true, std::memory_order_relaxed);
-  for (const std::size_t index : in_flight_) points_[index].handle.cancel();
-}
-
-void RefinementDriver::wait_current() const {
-  for (const std::size_t index : in_flight_) points_[index].handle.wait();
-}
-
-RefinedSweepResult RefinementDriver::take() {
-  if (!finished_) fail("RefinementDriver::take() before finished()");
-  return std::move(result_);
-}
-
-long long RefinementDriver::completed_runs() const noexcept {
-  long long completed = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i)
-    completed += shared_->completed[i].load(std::memory_order_relaxed);
-  return completed;
-}
-
-long long RefinementDriver::submitted_runs() const noexcept {
-  return static_cast<long long>(points_.size()) * per_point_cap_;
-}
-
-long long RefinementDriver::budget_runs() const noexcept {
-  return static_cast<long long>(sweep_.refine.max_points) * per_point_cap_;
-}
-
-bool RefinementDriver::take_dirty() noexcept {
-  return shared_->dirty.exchange(false, std::memory_order_relaxed);
+  result.splits = std::move(splits_);
+  return result;
 }
 
 RefinedSweepResult run_refined_sweep(const SweepSpec& sweep,
-                                     Executor* executor,
-                                     RefineDriverOptions options) {
+                                     Executor* executor) {
   HOVAL_EXPECTS_MSG(executor != nullptr,
                     "run_refined_sweep needs an executor");
-  RefinementDriver driver(sweep, *executor, std::move(options));
-  while (!driver.pump()) driver.wait_current();
-  return driver.take();
+  return JobRunner(Job{JobKind::kRefinedSweep, {}, sweep}, *executor)
+      .take()
+      .refined;
 }
 
 }  // namespace hoval

@@ -27,16 +27,15 @@
 /// RefinedSweepResult is byte-identical for any executor thread count,
 /// any submission interleaving, and local vs daemon-served execution.
 ///
-/// The driver is a non-blocking state machine: pump() collects the
-/// current generation if it is complete and submits the next one, never
-/// waiting — which is what lets hovald's single-threaded event loop drive
-/// refinement for many jobs concurrently (src/service/server.cpp).
-/// Blocking callers use run_refined_sweep().
+/// The driver is the refinement algorithm alone, and it executes nothing:
+/// it lays out each generation's points (coordinates, derived seed,
+/// ready-to-resolve scenario), records their results, and decides the
+/// next generation.  JobRunner (scenario/job.hpp) submits the generations
+/// to an Executor, tracks their progress and cancels them, the same way
+/// it runs scenarios and fixed sweeps — for hoval_cli, for hovald's event
+/// loop, and for the blocking run_refined_sweep().
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -111,71 +110,39 @@ struct RefinedSweepResult {
 /// one tuple has exactly one seed across grids, generations and hosts.
 std::string canonical_coordinates(const std::vector<Json>& coordinates);
 
-/// Hooks for embedders.  Both are optional.
-struct RefineDriverOptions {
-  /// Invoked (coalesced: once per dirty transition, cleared by
-  /// take_dirty()) when run-completion counters advance.  May fire from
-  /// executor worker threads — keep it to a wakeup, e.g. a pipe write.
-  std::function<void()> on_progress;
-  /// Invoked from pump() after a new generation is submitted, with the
-  /// generation index, how many points it added, and the total so far.
-  std::function<void(int generation, std::size_t added, std::size_t total)>
-      on_generation;
-};
-
-/// Non-blocking refinement state machine over a shared Executor.  All
-/// members except the progress counters must be called from one thread
-/// (the thread that pumps); the counters are fed from executor workers.
+/// The refinement state machine.  Not thread-safe; one thread drives it.
 class RefinementDriver {
  public:
   /// Validates the sweep (SweepSpec::validate_refine plus: refinement
   /// enabled, non-empty axes, coarse grid within max_points, a known
-  /// monitored predicate) and submits generation 0.  \throws RefineError
-  /// or ScenarioError on an invalid spec.
-  RefinementDriver(SweepSpec sweep, Executor& executor,
-                   RefineDriverOptions options = {});
-  ~RefinementDriver();
+  /// monitored predicate) and lays out generation 0, the coarse grid.
+  /// \throws RefineError or ScenarioError on an invalid spec.
+  explicit RefinementDriver(SweepSpec sweep);
 
-  RefinementDriver(const RefinementDriver&) = delete;
-  RefinementDriver& operator=(const RefinementDriver&) = delete;
+  /// The current generation's points as scenarios with their derived
+  /// seeds, in layout order.  \throws ScenarioError on a point the
+  /// sweep cannot expand.
+  std::vector<ScenarioSpec> generation() const;
 
-  /// Advances the state machine without blocking: if the in-flight
-  /// generation is complete, collects it and either submits the next
-  /// generation or finalises.  Returns finished().  \throws the first
-  /// stored campaign exception when collecting a failed point.
-  bool pump();
+  /// Records the current generation's results, aligned with generation().
+  void record(std::vector<CampaignResult> results);
 
-  bool finished() const noexcept { return finished_; }
+  /// Decides the next generation from every recorded point, in
+  /// deterministic order, and lays it out.  Returns false when no
+  /// interval needs subdividing (or the budget is spent): refinement is
+  /// complete.
+  bool advance();
 
-  /// Requests cancellation: in-flight campaigns stop at their next
-  /// progress boundary and the result is finalised (cancelled = true) at
-  /// the next pump() that sees the generation complete.
-  void cancel() noexcept;
-
-  /// Blocks until every in-flight point of the current generation is
-  /// ready (a subsequent pump() will then make progress).
-  void wait_current() const;
-
-  /// Moves the finalised result out; call once, after finished().
-  RefinedSweepResult take();
-
-  /// Live counters for progress streaming: runs completed across every
-  /// submitted point, and the run cap of the points submitted so far
-  /// (grows per generation).  Safe against concurrent worker updates.
-  long long completed_runs() const noexcept;
-  long long submitted_runs() const noexcept;
-  /// The overall cap implied by the budget: max_points x per-point runs.
-  long long budget_runs() const noexcept;
-  /// Clears and returns the progress-dirty flag (daemon coalescing).
-  bool take_dirty() noexcept;
+  /// The result document over every recorded point, sorted by
+  /// coordinates; `cancelled` marks a job stopped before completion.
+  /// Call once, last.
+  RefinedSweepResult finalize(bool cancelled);
 
  private:
-  struct Shared;  ///< state touched from worker-thread progress callbacks
   struct PointState {
     std::vector<Json> coordinates;
     std::uint64_t seed = 0;
     int generation = 0;
-    CampaignHandle handle;
   };
   struct AxisInfo {
     bool refined = false;
@@ -183,38 +150,30 @@ class RefinementDriver {
     double floor = 0.0;  ///< resolution floor (min initial gap / 2^depth)
   };
 
-  void submit_point(std::vector<Json> coordinates, const std::string& key,
-                    int generation);
-  /// Decides the next generation's midpoints from all completed points,
-  /// in deterministic order; records splits and the budget flag.
+  void add_point(std::vector<Json> coordinates, const std::string& key);
+  /// Decides the next generation's midpoints from all recorded points, in
+  /// deterministic order; records splits and the budget flag.
   std::vector<std::pair<std::vector<Json>, std::string>> decide_splits();
-  void finalize(bool cancelled);
 
   SweepSpec sweep_;
-  Executor& executor_;
-  RefineDriverOptions options_;
-  std::shared_ptr<Shared> shared_;
   std::vector<AxisInfo> axis_info_;
   int per_point_cap_ = 0;  ///< run cap of one point's campaign
   int generation_ = 0;
-  bool finished_ = false;
+  std::size_t generation_begin_ = 0;  ///< first point of the current generation
   bool budget_exhausted_ = false;
   long long runs_executed_ = 0;
   std::vector<PointState> points_;
   std::vector<CampaignResult> results_;   ///< aligned with points_
   std::vector<long long> successes_;      ///< monitored counts, aligned
   std::vector<long long> trials_;
-  std::vector<std::size_t> in_flight_;    ///< indices awaiting collection
   std::set<std::string> membership_;      ///< canonical keys of all points
   std::vector<RefinementSplit> splits_;
-  RefinedSweepResult result_;
 };
 
-/// Blocking wrapper: drives a RefinementDriver on `executor` to
-/// completion.  \throws PreconditionError on a null executor, and
-/// RefineError / ScenarioError as the driver.
+/// Blocking wrapper: runs the refined sweep as a JobRunner on `executor`
+/// to completion.  \throws PreconditionError on a null executor, and
+/// RefineError / ScenarioError on an invalid spec.
 RefinedSweepResult run_refined_sweep(const SweepSpec& sweep,
-                                     Executor* executor,
-                                     RefineDriverOptions options = {});
+                                     Executor* executor);
 
 }  // namespace hoval

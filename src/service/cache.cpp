@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "scenario/spec.hpp"
+#include "scenario/job.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
 
@@ -39,6 +39,11 @@ std::string sweep_cache_key(const SweepSpec& spec) {
   sweep.set("scenario", without_execution_knobs(sweep.at("scenario")));
   return "sweep\n" + sweep.dump() +
          "\nseed:" + std::to_string(spec.base.campaign.seed);
+}
+
+std::string job_cache_key(const Job& job) {
+  return job.is_sweep() ? sweep_cache_key(job.sweep)
+                        : scenario_cache_key(job.scenario);
 }
 
 std::optional<std::string> ResultCache::lookup(std::string_view key) {

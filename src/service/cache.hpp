@@ -25,6 +25,7 @@
 #include <unordered_map>
 
 namespace hoval {
+struct Job;
 struct ScenarioSpec;
 struct SweepSpec;
 }  // namespace hoval
@@ -41,6 +42,8 @@ namespace hoval::service {
 /// that differs only in them is a hit.
 std::string scenario_cache_key(const ScenarioSpec& spec);
 std::string sweep_cache_key(const SweepSpec& spec);
+/// The key of whichever spec the job carries.
+std::string job_cache_key(const Job& job);
 
 /// LRU map from canonical spec key to canonical result text, bounded by a
 /// total byte budget (keys + payloads both count).  Not thread-safe; the

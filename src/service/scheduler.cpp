@@ -1,6 +1,6 @@
 #include "service/scheduler.hpp"
 
-#include "scenario/spec.hpp"
+#include "scenario/job.hpp"
 
 namespace hoval::service {
 
@@ -19,6 +19,10 @@ long long sweep_cost(const SweepSpec& spec) {
           ? static_cast<long long>(spec.refine.max_points)
           : static_cast<long long>(spec.point_count());
   return points * scenario_cost(spec.base);
+}
+
+long long job_cost(const Job& job) {
+  return job.is_sweep() ? sweep_cost(job.sweep) : scenario_cost(job.scenario);
 }
 
 std::size_t pick_next(const std::vector<QueuedJob>& pending,

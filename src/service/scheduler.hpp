@@ -22,6 +22,7 @@
 #include <vector>
 
 namespace hoval {
+struct Job;
 struct ScenarioSpec;
 struct SweepSpec;
 }  // namespace hoval
@@ -33,6 +34,7 @@ namespace hoval::service {
 /// nominal `runs` floor.
 long long scenario_cost(const ScenarioSpec& spec);
 long long sweep_cost(const SweepSpec& spec);
+long long job_cost(const Job& job);
 
 /// One queued submission as the policy sees it; `seq` is a server-global
 /// monotonic counter fixing the FIFO order, `client` is an opaque

@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <list>
 #include <map>
+#include <optional>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,15 +19,12 @@
 
 #include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
-#include "refine/driver.hpp"
-#include "scenario/run.hpp"
-#include "scenario/spec.hpp"
+#include "scenario/job.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 #include "service/scheduler.hpp"
 #include "service/socket.hpp"
 #include "sim/executor.hpp"
-#include "sim/result_json.hpp"
 
 namespace hoval::service {
 
@@ -36,16 +34,6 @@ void set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
-
-/// Counters shared between a job's campaign-progress callbacks (executor
-/// worker threads) and the event loop.  Campaign callbacks store their
-/// point's completed count and flip `dirty`; the loop aggregates.
-struct ProgressState {
-  explicit ProgressState(std::size_t points) : completed(points) {}
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> dirty{false};
-  std::vector<std::atomic<long long>> completed;
-};
 
 /// The non-blocking self-pipe progress callbacks use to wake the poll
 /// loop.  Declared before the Executor in Impl so it outlives the pool
@@ -70,22 +58,6 @@ struct WakePipe {
   WakePipe& operator=(const WakePipe&) = delete;
 };
 
-ProgressCallback make_point_progress(std::shared_ptr<ProgressState> state,
-                                     int wake_fd, std::size_t point) {
-  return [state, wake_fd, point](const CampaignProgress& progress) {
-    if (state->cancelled.load(std::memory_order_acquire)) return false;
-    state->completed[point].store(progress.completed,
-                                  std::memory_order_relaxed);
-    if (!state->dirty.exchange(true, std::memory_order_acq_rel)) {
-      // Coalesced wakeup: one pipe byte per dirty transition.  The pipe
-      // is non-blocking; a full pipe already guarantees a pending wakeup.
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
-    return true;
-  };
-}
-
 struct Client {
   using Clock = std::chrono::steady_clock;
 
@@ -106,28 +78,20 @@ struct Client {
 
 struct PendingJob {
   QueuedJob meta;
-  bool sweep = false;
   bool progress_wanted = false;
-  ScenarioSpec scenario;
-  SweepSpec sweep_spec;
+  Job job;
   std::string cache_key;
 };
 
 struct ActiveJob {
   int client_fd = -1;
   int id = -1;
-  bool sweep = false;
-  bool progress_wanted = false;
   bool cancel_requested = false;
   /// Client gone: collect and discard the result, never cache it.
   bool discarded = false;
-  long long total = 0;  ///< summed run budget, for progress frames
   std::string cache_key;
-  std::vector<CampaignHandle> handles;
-  std::shared_ptr<ProgressState> state;  ///< null unless progress_wanted
-  /// Refined sweeps run through the non-blocking refinement state machine
-  /// instead of a fixed handle list; collect_ready() pumps it each tick.
-  std::unique_ptr<RefinementDriver> driver;
+  /// Pumped by collect_ready() each tick; never blocks the loop.
+  std::unique_ptr<JobRunner> runner;
 };
 
 }  // namespace
@@ -250,18 +214,11 @@ struct Server::Impl {
     job.meta.seq = next_seq++;
     job.meta.client = fd;
     job.meta.id = message.id;
-    job.sweep = message.sweep;
     job.progress_wanted = message.progress;
     try {
-      if (job.sweep) {
-        job.sweep_spec = SweepSpec::from_json(message.spec);
-        job.cache_key = sweep_cache_key(job.sweep_spec);
-        job.meta.cost = sweep_cost(job.sweep_spec);
-      } else {
-        job.scenario = ScenarioSpec::from_json(message.spec);
-        job.cache_key = scenario_cache_key(job.scenario);
-        job.meta.cost = scenario_cost(job.scenario);
-      }
+      job.job = Job::from_json(message.sweep, message.spec);
+      job.cache_key = job_cache_key(job.job);
+      job.meta.cost = job_cost(job.job);
     } catch (const std::exception& e) {
       jobs_failed.fetch_add(1, std::memory_order_relaxed);
       send_payload(fd, client, encode_error(message.id, e.what()));
@@ -319,11 +276,7 @@ struct Server::Impl {
     // the wire; silently ignore, as the protocol comment promises.
   }
 
-  static void cancel_job(ActiveJob& job) {
-    if (job.state) job.state->cancelled.store(true, std::memory_order_release);
-    if (job.driver) job.driver->cancel();
-    for (CampaignHandle& handle : job.handles) handle.cancel();
-  }
+  static void cancel_job(ActiveJob& job) { job.runner->cancel(); }
 
   /// Admits queued jobs while slots are free, in scheduler-policy order.
   void admit_jobs() {
@@ -352,155 +305,64 @@ struct Server::Impl {
     }
   }
 
-  /// Resolves and submits one job's campaigns.  Mirrors run_sweep's
-  /// overlapping-submission shape; determinism makes the collected bytes
-  /// identical to the local path regardless of interleaving.
-  /// \throws ScenarioError on an unresolvable spec (nothing submitted).
+  /// Resolves and submits one job's first wave; collect_ready() pumps the
+  /// rest.  Progress wakeups ride the loop's self-pipe.
+  /// \throws ScenarioError / RefineError on an unresolvable spec (nothing
+  /// submitted).
   void start_job(PendingJob job) {
-    if (job.sweep && job.sweep_spec.refine.enabled) {
-      start_refined_job(std::move(job));
-      return;
-    }
-    std::vector<ResolvedScenario> points;
-    if (job.sweep) {
-      const std::vector<ScenarioSpec> expanded = job.sweep_spec.expand();
-      points.reserve(expanded.size());
-      for (const ScenarioSpec& point : expanded)
-        points.push_back(resolve_scenario(point));
-    } else {
-      points.push_back(resolve_scenario(job.scenario));
-    }
-
     ActiveJob admitted;
     admitted.client_fd = job.meta.client;
     admitted.id = job.meta.id;
-    admitted.sweep = job.sweep;
-    admitted.progress_wanted = job.progress_wanted;
     admitted.cache_key = std::move(job.cache_key);
+    std::function<void()> on_dirty;
     if (job.progress_wanted)
-      admitted.state = std::make_shared<ProgressState>(points.size());
-    admitted.handles.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      ResolvedScenario& point = points[i];
-      const CampaignConfig& cfg = point.config;
-      admitted.total +=
-          cfg.adaptive.enabled ? cfg.adaptive.cap(cfg.runs) : cfg.runs;
-      if (admitted.state)
-        point.config.progress =
-            make_point_progress(admitted.state, wake.write_fd, i);
-      admitted.handles.push_back(executor.submit(
-          std::move(point.values), std::move(point.instance),
-          std::move(point.adversary), std::move(point.config)));
-    }
-    log("job " + std::to_string(admitted.id) + " from client " +
-        std::to_string(admitted.client_fd) + " started (" +
-        (admitted.sweep ? "sweep, " : "scenario, ") +
-        std::to_string(admitted.handles.size()) + " campaign(s))");
-    active.push_back(std::move(admitted));
-  }
-
-  /// Admits a refined sweep: the RefinementDriver submits generation 0
-  /// itself and is pumped from collect_ready() each loop tick, so the
-  /// event loop never blocks on a refinement decision.  Progress wakeups
-  /// ride the same self-pipe as plain jobs.
-  /// \throws RefineError / ScenarioError on an invalid spec.
-  void start_refined_job(PendingJob job) {
-    ActiveJob admitted;
-    admitted.client_fd = job.meta.client;
-    admitted.id = job.meta.id;
-    admitted.sweep = true;
-    admitted.progress_wanted = job.progress_wanted;
-    admitted.cache_key = std::move(job.cache_key);
-    RefineDriverOptions options;
-    if (job.progress_wanted) {
-      const int wake_fd = wake.write_fd;
-      options.on_progress = [wake_fd] {
+      on_dirty = [wake_fd = wake.write_fd] {
+        // The pipe is non-blocking; a full pipe already guarantees a
+        // pending wakeup.
         const char byte = 1;
         [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
       };
-    }
-    admitted.driver = std::make_unique<RefinementDriver>(
-        job.sweep_spec, executor, std::move(options));
-    admitted.total = admitted.driver->budget_runs();
+    admitted.runner = std::make_unique<JobRunner>(
+        std::move(job.job), executor, job.progress_wanted, std::move(on_dirty));
     log("job " + std::to_string(admitted.id) + " from client " +
-        std::to_string(admitted.client_fd) + " started (refined sweep, " +
-        std::to_string(job.sweep_spec.point_count()) + " coarse point(s))");
+        std::to_string(admitted.client_fd) + " started (" +
+        std::to_string(admitted.runner->total_runs()) + " runs submitted)");
     active.push_back(std::move(admitted));
   }
 
   void emit_progress() {
     for (ActiveJob& job : active) {
-      if (job.discarded) continue;
-      long long completed = 0;
-      long long total = job.total;
-      if (job.driver) {
-        if (!job.progress_wanted || !job.driver->take_dirty()) continue;
-        completed = job.driver->completed_runs();
-        // The denominator grows as generations land; the budget cap is a
-        // poor bound, so report against the runs submitted so far.
-        total = job.driver->submitted_runs();
-      } else {
-        if (!job.state ||
-            !job.state->dirty.exchange(false, std::memory_order_acq_rel))
-          continue;
-        for (const auto& point : job.state->completed)
-          completed += point.load(std::memory_order_relaxed);
-      }
+      if (job.discarded || !job.runner->take_dirty()) continue;
       const auto it = clients.find(job.client_fd);
       if (it != clients.end() && !it->second.doomed)
         send_payload(it->first, it->second,
-                     encode_progress(job.id, completed, total));
+                     encode_progress(job.id, job.runner->completed_runs(),
+                                     job.runner->total_runs()));
     }
   }
 
   void collect_ready() {
     for (auto it = active.begin(); it != active.end();) {
-      bool done = false;
-      std::string pump_failure;
-      if (it->driver) {
-        // One pump per tick: collects a completed generation and submits
-        // the next one, or finalises.  Never blocks.
-        try {
-          done = it->driver->pump();
-        } catch (const std::exception& e) {
-          pump_failure = e.what();
-          if (pump_failure.empty()) pump_failure = "refined sweep failed";
-          done = true;
+      std::optional<JobResult> result;
+      std::string failure;
+      try {
+        if (!it->runner->pump()) {
+          ++it;
+          continue;
         }
-      } else {
-        done = std::all_of(
-            it->handles.begin(), it->handles.end(),
-            [](const CampaignHandle& handle) { return handle.ready(); });
+        result = it->runner->take();
+      } catch (const std::exception& e) {
+        failure = e.what();
+        if (failure.empty()) failure = "campaign failed";
       }
-      if (!done) {
-        ++it;
-        continue;
-      }
-      finish_job(*it, pump_failure);
+      finish_job(*it, result, failure);
       it = active.erase(it);
     }
     admit_jobs();
   }
 
-  void finish_job(ActiveJob& job, const std::string& pump_failure) {
-    std::vector<CampaignResult> results;
-    results.reserve(job.handles.size());
-    RefinedSweepResult refined;
-    std::string failure = pump_failure;
-    if (failure.empty()) {
-      try {
-        if (job.driver) {
-          refined = job.driver->take();
-        } else {
-          for (CampaignHandle& handle : job.handles)
-            results.push_back(handle.take());
-        }
-      } catch (const std::exception& e) {
-        failure = e.what();
-        if (failure.empty()) failure = "campaign failed";
-      }
-    }
-
+  void finish_job(const ActiveJob& job, const std::optional<JobResult>& result,
+                  const std::string& failure) {
     if (job.discarded) return;  // client gone; nothing to answer or cache
     const auto client_it = clients.find(job.client_fd);
     if (client_it == clients.end()) return;
@@ -511,24 +373,14 @@ struct Server::Impl {
       send_payload(job.client_fd, client, encode_error(job.id, failure));
       return;
     }
-    const bool cancelled =
-        job.cancel_requested ||
-        (job.driver ? refined.cancelled
-                    : std::any_of(results.begin(), results.end(),
-                                  [](const CampaignResult& r) {
-                                    return r.cancelled;
-                                  }));
-    if (cancelled) {
+    if (job.cancel_requested || result->cancelled()) {
       // Counted in jobs_cancelled when the cancel landed; a partial result
       // is never cached and never reported as a result.
       send_payload(job.client_fd, client, encode_error(job.id, "cancelled"));
       return;
     }
 
-    const std::string text =
-        job.driver ? refined.to_json().dump()
-        : job.sweep ? campaign_results_to_json(results).dump()
-                    : campaign_result_to_json(results.front()).dump();
+    const std::string text = result->to_json().dump();
     cache.insert(job.cache_key, text);
     sync_cache_stats();
     jobs_completed.fetch_add(1, std::memory_order_relaxed);
@@ -797,8 +649,11 @@ struct Server::Impl {
         jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
     }
     for (ActiveJob& job : active) {
-      if (job.driver) job.driver->wait_current();
-      for (CampaignHandle& handle : job.handles) handle.wait();
+      try {
+        job.runner->wait();
+      } catch (const std::exception&) {
+        // A failing campaign during shutdown has no one left to tell.
+      }
     }
     active.clear();
     pending.clear();

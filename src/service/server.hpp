@@ -11,10 +11,11 @@
 ///
 /// Division of labour: the event loop owns all connection and job state
 /// and is the only thread that touches it; the Executor's pool runs the
-/// campaigns.  The two meet in exactly two lock-free places — campaign
-/// progress callbacks store per-point counters into a shared
-/// ProgressState and nudge the loop through a non-blocking wake pipe, and
-/// the loop polls CampaignHandle::ready() to collect finished jobs.  The
+/// campaigns.  Every active job — scenario, fixed sweep or refined sweep
+/// alike — is one JobRunner (scenario/job.hpp), the runner `hoval_cli`
+/// uses too.  The loop pumps each runner once per tick (never blocking)
+/// and answers with its typed result's document; a runner asked for
+/// progress nudges the loop through a non-blocking wake pipe.  The
 /// simulator's determinism guarantee (identical spec + seed => identical
 /// bytes at any thread count or interleaving) is what makes the served
 /// results byte-comparable to local runs and makes the result cache

@@ -336,6 +336,68 @@ TEST(Daemon, ProgressFramesStreamMonotonically) {
   EXPECT_EQ(outcome.result.dump(), local_scenario_bytes(spec));
 }
 
+/// Collects a job's progress frames and checks the invariants every kind
+/// of job keeps: completed never decreases and never exceeds total, and
+/// total never shrinks (a refined sweep's grows per generation).
+struct ProgressLog {
+  long long last_completed = -1;
+  long long last_total = 0;
+  int frames = 0;
+
+  ClientProgressFn observer() {
+    return [this](long long completed, long long total) {
+      ++frames;
+      EXPECT_GE(completed, last_completed);
+      EXPECT_LE(completed, total);
+      EXPECT_GE(total, last_total);
+      last_completed = completed;
+      last_total = total;
+    };
+  }
+};
+
+TEST(Daemon, FixedSweepProgressFramesReachTheSummedRunCaps) {
+  ServerFixture fixture({});
+  ServiceClient client(fixture.address());
+  SweepSpec sweep;
+  sweep.base = small_spec(20'000);
+  sweep.axes.push_back(
+      SweepAxis::single("algorithm.params.alpha", {Json(0), Json(1)}));
+  ProgressLog log;
+  const JobOutcome outcome =
+      client.submit_sweep(sweep.to_json(), log.observer());
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_GE(log.frames, 1);
+  EXPECT_EQ(log.last_total, 2 * 20'000);
+  EXPECT_EQ(outcome.result.dump(), local_sweep_bytes(sweep));
+}
+
+TEST(Daemon, RefinedSweepProgressFramesNeverShrinkTheirTotal) {
+  ServerFixture fixture({});
+  ServiceClient client(fixture.address());
+  SweepSpec sweep;
+  sweep.base = small_spec(2000);
+  sweep.base.algorithm = component("utea", {{"n", 6}, {"alpha", 1}});
+  sweep.base.values = component("unanimous", {{"value", 1}});
+  sweep.axes.push_back(
+      SweepAxis::single("campaign.rounds", {Json(1), Json(16)}));
+  sweep.refine.enabled = true;
+  sweep.refine.monitor = MonitorSelector::parse("termination");
+  ProgressLog log;
+  const JobOutcome outcome =
+      client.submit_sweep(sweep.to_json(), log.observer());
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_GE(log.frames, 1);
+  const RefinedSweepResult refined =
+      RefinedSweepResult::from_json(outcome.result);
+  EXPECT_GT(refined.generations, 1);
+  EXPECT_LE(log.last_total,
+            static_cast<long long>(refined.points.size()) * 2000);
+  Executor executor(2);
+  EXPECT_EQ(outcome.result.dump(),
+            run_refined_sweep(sweep, &executor).to_json().dump());
+}
+
 TEST(Daemon, BadSpecAnswersAnErrorAndTheConnectionSurvives) {
   ServerFixture fixture({});
   ServiceClient client(fixture.address());

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -355,45 +354,6 @@ TEST(Executor, ValidatesConfigAndThreadsAtSubmit) {
                                ate_instance(AteParams::canonical(9, 2)),
                                corruption_of(2), base_config(10, 1)),
                PreconditionError);
-}
-
-// --- sweep-level cancellation ----------------------------------------------
-
-TEST(Executor, SweepProgressVetoCancelsTheWholeSweep) {
-  // Cancel the sweep from point 0's very first progress batch: the
-  // remaining points must come back cancelled (skipped sequential points
-  // with zero runs), not execute to completion.
-  SweepSpec sweep = alpha_sweep();
-  sweep.base.campaign.adaptive.enabled = false;
-  sweep.base.campaign.runs = 4096;
-
-  for (const bool overlap : {false, true}) {
-    SCOPED_TRACE(overlap ? "overlapping points" : "sequential points");
-    Executor executor(2);
-    SweepOptions options;
-    options.overlap_points = overlap;
-    std::atomic<int> calls{0};
-    options.progress = [&](const SweepProgress& progress) {
-      calls.fetch_add(1);
-      EXPECT_EQ(progress.points, 4);
-      EXPECT_EQ(progress.total, 4096);
-      return false;  // veto immediately
-    };
-    const std::vector<CampaignResult> results =
-        run_sweep(sweep, executor, options);
-    ASSERT_EQ(results.size(), 4u);
-    EXPECT_GE(calls.load(), 1);
-    long long executed = 0;
-    int cancelled_points = 0;
-    for (const CampaignResult& result : results) {
-      executed += result.runs;
-      cancelled_points += result.cancelled ? 1 : 0;
-    }
-    // The veto lands in one point's stream; everything else is cancelled
-    // long before the sweep's 16384-run budget.
-    EXPECT_GE(cancelled_points, 3);
-    EXPECT_LT(executed, 4 * 4096);
-  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hoval.hpp"
@@ -59,7 +60,6 @@ struct CliOptions {
   int threads = 0;
   std::string values = "random";
   bool progress = false;
-  bool sweep_parallel = false;
   bool refine = false;
   bool trace = false;
   bool adaptive = false;
@@ -122,9 +122,7 @@ struct CliOptions {
       << "  --ci-epsilon E   target CI half-width, implies --adaptive\n"
       << "                   (default 0.02)\n"
       << "  --values unanimous|split|distinct|random          (default random)\n"
-      << "  --progress       report campaign progress on stderr\n"
-      << "  --sweep-parallel overlap sweep points on one worker pool\n"
-      << "                   (results identical to sequential; see README)\n"
+      << "  --progress       report completed/total runs on stderr\n"
       << "  --trace          print the per-round trace summary (single run)\n";
   std::exit(2);
 }
@@ -164,7 +162,6 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--ci-epsilon") { options.ci_epsilon = std::stod(next()); options.ci_epsilon_set = true; options.adaptive = true; }
     else if (arg == "--values") { options.values = next(); options.shape_flags.push_back(arg); }
     else if (arg == "--progress") options.progress = true;
-    else if (arg == "--sweep-parallel") options.sweep_parallel = true;
     else if (arg == "--refine") options.refine = true;
     else if (arg == "--trace") options.trace = true;
     else usage(argv[0]);
@@ -255,28 +252,29 @@ void apply_overrides(const CliOptions& options, CampaignKnobs& knobs) {
   if (options.ci_epsilon_set) knobs.adaptive.ci_epsilon = options.ci_epsilon;
 }
 
-ScenarioSpec load_scenario(const CliOptions& options) {
-  ScenarioSpec spec = ScenarioSpec::from_json_text(
-      read_file(options.scenario_file, "scenario"));
-  apply_overrides(options, spec.campaign);
-  return spec;
-}
-
 /// The size of the invocation's one pool: --threads, or else the
-/// document's campaign.threads.  Checked here because a sweep's pool is
-/// built before run_sweep validates its points.
+/// document's campaign.threads.  Checked here because the pool is built
+/// before the runner validates the job.
 int pool_threads(const CampaignKnobs& knobs) {
   if (knobs.threads < 0)
     throw ScenarioError("campaign.threads must be >= 0 (0 = all cores)");
   return knobs.threads;
 }
 
-SweepSpec load_sweep(const CliOptions& options) {
+/// The --scenario or --sweep document as a job, with the explicit
+/// campaign-knob flags (and --refine) applied.
+Job load_job(const CliOptions& options) {
+  if (options.sweep_file.empty()) {
+    ScenarioSpec spec = ScenarioSpec::from_json_text(
+        read_file(options.scenario_file, "scenario"));
+    apply_overrides(options, spec.campaign);
+    return Job::of(std::move(spec));
+  }
   SweepSpec sweep =
       SweepSpec::from_json_text(read_file(options.sweep_file, "sweep"));
   apply_overrides(options, sweep.base.campaign);
   if (options.refine) sweep.refine.enabled = true;
-  return sweep;
+  return Job::of(std::move(sweep));
 }
 
 /// The old CLI warned when the flags described a parameter choice outside
@@ -357,46 +355,109 @@ void write_json_file(const std::string& path, const Json& document) {
   out << document.dump(2) << "\n";
 }
 
-int run_many(ResolvedScenario resolved, bool progress,
-             const std::string& out_file, Executor& executor) {
-  if (progress) {
-    resolved.config.progress_batch = std::max(1, resolved.config.runs / 20);
-    resolved.config.progress = [](const CampaignProgress& state) {
-      std::cerr << "\r" << state.completed << "/" << state.total << " runs"
-                << std::flush;
-      if (state.completed == state.total) std::cerr << "\n";
-      return true;
-    };
-  }
-  const TraceRetention keep_traces = resolved.config.keep_traces;
-  const CampaignResult result =
-      executor
-          .submit(std::move(resolved.values), std::move(resolved.instance),
-                  std::move(resolved.adversary), std::move(resolved.config))
-          .take();
-  std::cout << result.summary() << " [" << executor.threads() << " thread"
-            << (executor.threads() == 1 ? "" : "s") << "]\n";
-  if (keep_traces != TraceRetention::kNone)
-    std::cout << "retained " << result.traces.size() << " trace(s) ("
-              << to_string(keep_traces) << ")\n";
-  for (const auto& violation : result.violations)
-    std::cout << "  " << violation << "\n";
-  if (!out_file.empty())
-    write_json_file(out_file, campaign_result_to_json(result));
-  return result.safety_clean() ? 0 : 1;
+/// The --progress counter on stderr, rewritten in place: the same
+/// "completed/total runs" line for every kind of job, local or served.
+/// A refined sweep's total grows as its generations are submitted.
+void print_progress(long long completed, long long total) {
+  std::cerr << "\r" << completed << "/" << total << " runs" << std::flush;
 }
 
-bool render_refined(const SweepSpec& sweep, const RefinedSweepResult& refined);
+/// Prints one campaign's violation samples, so an unsafe point is
+/// diagnosable from the output alone — the exit code says *that*
+/// something violated, these lines say *what*.
+void print_violations(const CampaignResult& result) {
+  for (const auto& violation : result.violations)
+    std::cout << "  " << violation << "\n";
+}
 
-/// --connect mode: ship the document to a hovald daemon and render the
-/// returned canonical result the way the local paths would.  The served
-/// bytes are identical to a local run of the same document (determinism),
-/// so --out files from either path cmp equal.
-int run_connected(const CliOptions& options) {
-  // Capped exponential backoff with deterministic jitter; each retry is a
-  // stderr line so chaos CI can grep for "service: retrying" and operators
-  // can see the client riding out a flaky daemon.  Retrying is safe: the
-  // daemon's spec-hash cache makes resubmission idempotent.
+/// The one renderer of a job's result, for local and --connect runs
+/// alike, so both print the same lines for the same document.
+/// `threads` > 0 marks a local run: a scenario's summary then names the
+/// pool size and reports its retained traces (served results carry
+/// none).  Returns whether every campaign was safety-clean.
+bool render(const Job& job, const JobResult& result, int threads) {
+  switch (job.kind) {
+    case JobKind::kScenario: {
+      const CampaignResult& campaign = result.campaigns.front();
+      std::cout << campaign.summary();
+      if (threads > 0)
+        std::cout << " [" << threads << " thread" << (threads == 1 ? "" : "s")
+                  << "]";
+      std::cout << "\n";
+      const TraceRetention keep_traces = job.scenario.campaign.keep_traces;
+      if (threads > 0 && keep_traces != TraceRetention::kNone)
+        std::cout << "retained " << campaign.traces.size() << " trace(s) ("
+                  << to_string(keep_traces) << ")\n";
+      print_violations(campaign);
+      break;
+    }
+    case JobKind::kSweep: {
+      const SweepSpec& sweep = job.sweep;
+      long long executed = 0;
+      long long requested = 0;
+      bool any_adaptive = false;
+      for (std::size_t i = 0; i < result.campaigns.size(); ++i) {
+        const CampaignResult& campaign = result.campaigns[i];
+        const std::vector<std::size_t> coordinate = sweep.point_coordinates(i);
+        std::cout << "[" << i + 1 << "/" << result.campaigns.size() << "]";
+        for (std::size_t a = 0; a < sweep.axes.size(); ++a)
+          for (std::size_t j = 0; j < sweep.axes[a].paths.size(); ++j)
+            std::cout << " " << sweep.axes[a].paths[j] << "="
+                      << sweep.axes[a].points[coordinate[a]][j].dump();
+        std::cout << ": " << campaign.summary() << "\n";
+        print_violations(campaign);
+        executed += campaign.runs;
+        requested += campaign.runs_requested;
+        any_adaptive = any_adaptive || campaign.ci_confidence > 0.0;
+      }
+      if (any_adaptive && requested > 0) {
+        const double saved =
+            100.0 * static_cast<double>(requested - executed) / requested;
+        std::cout << "adaptive sweep total: " << executed << "/" << requested
+                  << " runs executed (saved " << format_double(saved, 1)
+                  << "%)\n";
+      }
+      break;
+    }
+    case JobKind::kRefinedSweep: {
+      const RefinedSweepResult& refined = result.refined;
+      for (std::size_t i = 0; i < refined.points.size(); ++i) {
+        const RefinedPoint& point = refined.points[i];
+        std::cout << "[" << i + 1 << "/" << refined.points.size() << "]";
+        // validate_refine() restricts refined sweeps to single-path axes,
+        // so each axis has exactly one label.
+        for (std::size_t a = 0;
+             a < job.sweep.axes.size() && a < point.coordinates.size(); ++a)
+          std::cout << " " << job.sweep.axes[a].paths.front() << "="
+                    << point.coordinates[a].dump();
+        std::cout << " (g" << point.generation
+                  << "): " << point.result.summary() << "\n";
+        print_violations(point.result);
+      }
+      std::cout << "refined " << refined.points.size() << " points in "
+                << refined.generations << " generation"
+                << (refined.generations == 1 ? "" : "s") << ": "
+                << refined.runs_executed << " runs executed vs "
+                << refined.dense_runs_estimate << " dense-grid runs ("
+                << refined.dense_points << " points), saved "
+                << refined.runs_saved() << " runs ("
+                << format_double(refined.runs_saved_pct(), 1) << "%)\n";
+      if (refined.budget_exhausted)
+        std::cout << "refine budget exhausted: refine.max_points reached "
+                     "before the resolution floor\n";
+      break;
+    }
+  }
+  return result.safety_clean();
+}
+
+/// Ships the job to the --connect daemon.  Capped exponential backoff
+/// with deterministic jitter; each retry is a stderr line so chaos CI can
+/// grep for "service: retrying" and operators can see the client riding
+/// out a flaky daemon.  Retrying is safe: the daemon's spec-hash cache
+/// makes resubmission idempotent.
+service::JobOutcome submit_connected(const Job& job,
+                                     const CliOptions& options) {
   service::RetryPolicy policy;
   policy.max_attempts = std::max(1, options.retries);
   policy.connect_timeout_ms = options.connect_timeout_ms;
@@ -407,190 +468,62 @@ int run_connected(const CliOptions& options) {
               << ") in " << delay_ms << "ms: " << reason << "\n";
   };
   service::ServiceClient client(options.connect, policy);
-  service::ClientProgressFn progress_fn;
-  if (options.progress)
-    progress_fn = [](long long completed, long long total) {
-      std::cerr << "\r" << completed << "/" << total << " runs" << std::flush;
-      if (completed >= total) std::cerr << "\n";
-    };
+  service::ClientProgressFn progress;
+  if (options.progress) progress = print_progress;
+  return job.is_sweep() ? client.submit_sweep(job.to_json(), progress)
+                        : client.submit_scenario(job.to_json(), progress);
+}
 
-  if (!options.sweep_file.empty()) {
-    const SweepSpec sweep = load_sweep(options);
-    const service::JobOutcome outcome =
-        client.submit_sweep(sweep.to_json(), progress_fn);
+/// Runs the job on a local pool of its own (or, with --connect, on the
+/// daemon), renders the result and writes --out.  The served document is
+/// byte-identical to the local one (determinism), so --out files from
+/// either path cmp equal.
+int run_job(const Job& job, const CliOptions& options) {
+  JobResult result;
+  int threads = 0;
+  const auto start = std::chrono::steady_clock::now();
+  if (!options.connect.empty()) {
+    const service::JobOutcome outcome = submit_connected(job, options);
+    if (options.progress) std::cerr << "\n";
     if (!outcome.ok) {
       std::cerr << "error: service: " << outcome.error << "\n";
       return 2;
     }
     std::cout << "service: cache_hit="
               << (outcome.cache_hit ? "true" : "false") << "\n";
-    if (sweep.refine.enabled) {
-      // The daemon serves the refined document the local path would have
-      // produced (coordinate-derived seeds make the two byte-identical).
-      const RefinedSweepResult refined =
-          RefinedSweepResult::from_json(outcome.result);
-      const bool all_clean = render_refined(sweep, refined);
-      if (!options.out_file.empty())
-        write_json_file(options.out_file, outcome.result);
-      return all_clean ? 0 : 1;
+    result = JobResult::from_json(job.kind, outcome.result);
+  } else {
+    Executor executor(pool_threads(job.base().campaign));
+    threads = executor.threads();
+    JobRunner runner(job, executor, options.progress);
+    if (options.progress) {
+      // Completion has no notification channel; tick like hovald does.
+      while (!runner.pump()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (runner.take_dirty())
+          print_progress(runner.completed_runs(), runner.total_runs());
+      }
+      print_progress(runner.completed_runs(), runner.total_runs());
+      std::cerr << "\n";
     }
-    const std::vector<CampaignResult> results =
-        campaign_results_from_json(outcome.result);
-    bool all_clean = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      std::cout << "[" << i + 1 << "/" << results.size() << "] "
-                << results[i].summary() << "\n";
-      for (const auto& violation : results[i].violations)
-        std::cout << "  " << violation << "\n";
-      all_clean = all_clean && results[i].safety_clean();
-    }
-    if (!options.out_file.empty())
-      write_json_file(options.out_file, outcome.result);
-    return all_clean ? 0 : 1;
+    result = runner.take();
   }
-
-  const ScenarioSpec spec = load_scenario(options);
-  const service::JobOutcome outcome =
-      client.submit_scenario(spec.to_json(), progress_fn);
-  if (!outcome.ok) {
-    std::cerr << "error: service: " << outcome.error << "\n";
-    return 2;
+  const bool all_clean = render(job, result, threads);
+  if (threads > 0) {
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    long long executed = result.refined.runs_executed;
+    for (const CampaignResult& campaign : result.campaigns)
+      executed += campaign.runs;
+    const double runs_per_sec =
+        seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0;
+    std::cout << "wall time: " << format_double(seconds, 2) << "s, "
+              << executed << " runs (" << format_double(runs_per_sec, 0)
+              << " runs/sec)\n";
   }
-  std::cout << "service: cache_hit=" << (outcome.cache_hit ? "true" : "false")
-            << "\n";
-  const CampaignResult result = campaign_result_from_json(outcome.result);
-  std::cout << result.summary() << "\n";
-  for (const auto& violation : result.violations)
-    std::cout << "  " << violation << "\n";
   if (!options.out_file.empty())
-    write_json_file(options.out_file, outcome.result);
-  return result.safety_clean() ? 0 : 1;
-}
-
-/// Renders a refined sweep's per-point lines and the savings summary the
-/// way run_sweep_file renders a fixed grid.  Returns all-points-clean.
-bool render_refined(const SweepSpec& sweep, const RefinedSweepResult& refined) {
-  bool all_clean = true;
-  for (std::size_t i = 0; i < refined.points.size(); ++i) {
-    const RefinedPoint& point = refined.points[i];
-    std::cout << "[" << i + 1 << "/" << refined.points.size() << "]";
-    // validate_refine() restricts refined sweeps to single-path axes, so
-    // each axis has exactly one label.
-    for (std::size_t a = 0;
-         a < sweep.axes.size() && a < point.coordinates.size(); ++a)
-      std::cout << " " << sweep.axes[a].paths.front() << "="
-                << point.coordinates[a].dump();
-    std::cout << " (g" << point.generation << "): " << point.result.summary()
-              << "\n";
-    for (const auto& violation : point.result.violations)
-      std::cout << "  " << violation << "\n";
-    all_clean = all_clean && point.result.safety_clean();
-  }
-  std::cout << "refined " << refined.points.size() << " points in "
-            << refined.generations << " generation"
-            << (refined.generations == 1 ? "" : "s") << ": "
-            << refined.runs_executed << " runs executed vs "
-            << refined.dense_runs_estimate << " dense-grid runs ("
-            << refined.dense_points << " points), saved "
-            << refined.runs_saved() << " runs ("
-            << format_double(refined.runs_saved_pct(), 1) << "%)\n";
-  if (refined.budget_exhausted)
-    std::cout << "refine budget exhausted: refine.max_points reached before "
-                 "the resolution floor\n";
-  return all_clean;
-}
-
-int run_refined_file(const SweepSpec& sweep, const CliOptions& options,
-                     Executor& executor) {
-  RefineDriverOptions hooks;
-  if (options.progress)
-    hooks.on_generation = [](int generation, std::size_t added,
-                             std::size_t total) {
-      std::cerr << "generation " << generation << ": +" << added
-                << " point(s), " << total << " total\n";
-    };
-  const auto start = std::chrono::steady_clock::now();
-  const RefinedSweepResult refined =
-      run_refined_sweep(sweep, &executor, std::move(hooks));
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  const bool all_clean = render_refined(sweep, refined);
-  std::cout << "refine wall time: " << format_double(seconds, 2) << "s\n";
-  if (!options.out_file.empty())
-    // Deterministic document: byte-comparable against a --connect --out of
-    // the same sweep (the daemon serves the identical canonical JSON).
-    write_json_file(options.out_file, refined.to_json());
-  return all_clean ? 0 : 1;
-}
-
-int run_sweep_file(const SweepSpec& sweep, const CliOptions& options,
-                   Executor& executor) {
-  SweepOptions execution;
-  // Sequential is the default so per-point progress reads top to bottom;
-  // --sweep-parallel overlaps points on the shared pool.  Every point's
-  // result is bit-identical either way.
-  execution.overlap_points = options.sweep_parallel;
-  if (options.progress) {
-    execution.progress = [](const SweepProgress& state) {
-      // Overlapping points report concurrently; one preformatted write per
-      // update keeps the lines from interleaving mid-field.
-      std::ostringstream line;
-      line << "\rpoint " << state.point + 1 << "/" << state.points << ": "
-           << state.completed << "/" << state.total << " runs";
-      if (state.completed == state.total) line << "\n";
-      std::cerr << line.str() << std::flush;
-      return true;
-    };
-  }
-  const auto sweep_start = std::chrono::steady_clock::now();
-  const auto results = run_sweep(sweep, executor, execution);
-  const double sweep_seconds = std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() -
-                                   sweep_start)
-                                   .count();
-  bool all_clean = true;
-  long long executed = 0;
-  long long requested = 0;
-  bool any_adaptive = false;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const std::vector<std::size_t> coordinate = sweep.point_coordinates(i);
-    std::cout << "[" << i + 1 << "/" << results.size() << "]";
-    for (std::size_t a = 0; a < sweep.axes.size(); ++a)
-      for (std::size_t j = 0; j < sweep.axes[a].paths.size(); ++j)
-        std::cout << " " << sweep.axes[a].paths[j] << "="
-                  << sweep.axes[a].points[coordinate[a]][j].dump();
-    std::cout << ": " << results[i].summary() << "\n";
-    // An unsafe point must be diagnosable from the sweep output alone, the
-    // way run_many prints them for a single campaign — the exit code says
-    // *that* something violated, these lines say *what*.
-    for (const auto& violation : results[i].violations)
-      std::cout << "  " << violation << "\n";
-    all_clean = all_clean && results[i].safety_clean();
-    executed += results[i].runs;
-    requested += results[i].runs_requested;
-    any_adaptive = any_adaptive || results[i].ci_confidence > 0.0;
-  }
-  if (any_adaptive && requested > 0) {
-    const double saved =
-        100.0 * static_cast<double>(requested - executed) / requested;
-    std::cout << "adaptive sweep total: " << executed << "/" << requested
-              << " runs executed (saved " << format_double(saved, 1)
-              << "%)\n";
-  }
-  // Aggregate wall time + throughput makes sequential-vs-parallel sweep
-  // speedups visible without digging through BENCH JSON.
-  const double runs_per_sec =
-      sweep_seconds > 0.0 ? static_cast<double>(executed) / sweep_seconds : 0.0;
-  std::cout << "sweep wall time: " << format_double(sweep_seconds, 2) << "s, "
-            << executed << " runs (" << format_double(runs_per_sec, 0)
-            << " runs/sec, "
-            << (options.sweep_parallel ? "parallel points" : "sequential points")
-            << ")\n";
-  if (!options.out_file.empty())
-    // The documents are fully deterministic (no timings), so this file is
-    // byte-comparable against hoval_dispatch --out of the same sweep.
-    write_json_file(options.out_file, campaign_results_to_json(results));
+    write_json_file(options.out_file, result.to_json());
   return all_clean ? 0 : 1;
 }
 
@@ -654,7 +587,7 @@ int main(int argc, char** argv) {
                    "JSON (start from --dump-scenario) instead\n";
       return 2;
     }
-    if (!options.connect.empty()) return run_connected(options);
+    if (!options.connect.empty()) return run_job(load_job(options), options);
     if (!options.sweep_file.empty()) {
       if (options.dump) {
         std::cerr << "error: --dump-scenario does not apply to --sweep "
@@ -666,15 +599,11 @@ int main(int argc, char** argv) {
                      "apply to --sweep\n";
         return 2;
       }
-      const SweepSpec sweep = load_sweep(options);
-      Executor executor(pool_threads(sweep.base.campaign));
-      return sweep.refine.enabled
-                 ? run_refined_file(sweep, options, executor)
-                 : run_sweep_file(sweep, options, executor);
+      return run_job(load_job(options), options);
     }
 
     const ScenarioSpec spec = !options.scenario_file.empty()
-                                  ? load_scenario(options)
+                                  ? load_job(options).scenario
                                   : spec_from_flags(options);
     // Resolving validates the whole document (names *and* params) up
     // front, so both --dump-scenario output and typo'd flags fail with a
@@ -689,8 +618,7 @@ int main(int argc, char** argv) {
     // written document matches what hovald serves for the same spec.
     if (spec.campaign.runs <= 1 && options.out_file.empty())
       return run_single(resolved, options.trace);
-    Executor executor(pool_threads(spec.campaign));
-    return run_many(resolved, options.progress, options.out_file, executor);
+    return run_job(Job::of(spec), options);
   } catch (const ScenarioError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -66,7 +66,9 @@ struct Options {
       << "                      byte-comparable with hoval_cli --sweep --out\n"
       << "  --worker-cmd CMD    exec CMD (whitespace-split) as the backend,\n"
       << "                      serving fd 0, e.g. \"hovald --stdio\n"
-      << "                      --threads 1\"; default: forked backends\n"
+      << "                      --threads 1\"; default: forked backends.\n"
+      << "                      Quotes and backslashes are refused: put a\n"
+      << "                      shell command in a script file\n"
       << "  --max-attempts K    quarantine a point after K worker deaths\n"
       << "                      (default 3)\n"
       << "  --max-respawns R    replacement-worker budget (default 8)\n"
@@ -90,7 +92,17 @@ Options parse(int argc, char** argv) {
     else if (arg == "--workers") options.workers = std::stoi(next());
     else if (arg == "--worker-threads") options.worker_threads = std::stoi(next());
     else if (arg == "--worker-cmd") {
-      std::istringstream words(next());
+      const std::string command = next();
+      // Split on whitespace, never shell-parsed: a quoted command would
+      // exec a broken argv (sh -c "'exec"), so refuse it outright.
+      if (command.find_first_of("'\"\\") != std::string::npos) {
+        std::cerr << "error: --worker-cmd is split on whitespace, not parsed "
+                     "by a shell, so it cannot contain quotes or "
+                     "backslashes; put the command in a script file and "
+                     "pass \"/bin/sh FILE\"\n";
+        std::exit(2);
+      }
+      std::istringstream words(command);
       std::string word;
       while (words >> word) options.worker_cmd.push_back(word);
     }

@@ -315,27 +315,6 @@ TEST(Daemon, TinyCacheBudgetNeverHitsButStillServes) {
 
 // --- progress and errors ---------------------------------------------------
 
-TEST(Daemon, ProgressFramesStreamMonotonically) {
-  ServerFixture fixture({});
-  ServiceClient client(fixture.address());
-  const ScenarioSpec spec = small_spec(50'000);
-  long long last_completed = -1;
-  long long last_total = 0;
-  int frames = 0;
-  const JobOutcome outcome = client.submit_scenario(
-      spec.to_json(), [&](long long completed, long long total) {
-        ++frames;
-        EXPECT_GE(completed, last_completed);
-        EXPECT_LE(completed, total);
-        last_completed = completed;
-        last_total = total;
-      });
-  ASSERT_TRUE(outcome.ok) << outcome.error;
-  EXPECT_GE(frames, 1);
-  EXPECT_EQ(last_total, 50'000);
-  EXPECT_EQ(outcome.result.dump(), local_scenario_bytes(spec));
-}
-
 /// Collects a job's progress frames and checks the invariants every kind
 /// of job keeps: completed never decreases and never exceeds total, and
 /// total never shrinks (a refined sweep's grows per generation).
@@ -355,6 +334,19 @@ struct ProgressLog {
     };
   }
 };
+
+TEST(Daemon, ProgressFramesStreamMonotonically) {
+  ServerFixture fixture({});
+  ServiceClient client(fixture.address());
+  const ScenarioSpec spec = small_spec(50'000);
+  ProgressLog log;
+  const JobOutcome outcome =
+      client.submit_scenario(spec.to_json(), log.observer());
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_GE(log.frames, 1);
+  EXPECT_EQ(log.last_total, 50'000);
+  EXPECT_EQ(outcome.result.dump(), local_scenario_bytes(spec));
+}
 
 TEST(Daemon, FixedSweepProgressFramesReachTheSummedRunCaps) {
   ServerFixture fixture({});

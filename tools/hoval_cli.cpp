@@ -1,9 +1,11 @@
 /// hoval_cli — command-line front end for single runs, quick campaigns and
 /// declarative scenario files.
 ///
-/// Every invocation builds a ScenarioSpec — either from a JSON document
-/// (--scenario) or from the classic flags — and runs it through the same
-/// registry-resolved path as the bench harnesses (scenario/run.hpp).
+/// Every invocation builds a job — a ScenarioSpec from a JSON document
+/// (--scenario) or from the classic flags, or a sweep document (--sweep)
+/// — and runs it as a JobRunner (scenario/job.hpp) on a local pool, or
+/// ships it to a hovald daemon (--connect).  One renderer prints the
+/// typed result either way, so both paths print the same lines.
 ///
 /// Usage:
 ///   hoval_cli --list
